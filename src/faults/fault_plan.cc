@@ -1,6 +1,7 @@
 #include "faults/fault_plan.hh"
 
 #include <cmath>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -9,26 +10,44 @@ namespace accel::faults {
 
 namespace {
 
-/** splitmix64 finalizer: decorrelates (seed, index) into an Rng seed. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 constexpr std::uint64_t kFaultStream = 0xfa0175ULL;
 
+} // namespace
+
+// The validators build their messages only on failure: plans are
+// validated on every graph run, so a passing check must not allocate.
+
 void
-requireProbability(double p, const char *field)
+validateProbability(double p, const char *field)
 {
-    require(std::isfinite(p) && p >= 0.0 && p <= 1.0,
-            std::string("FaultPlan.") + field + " must be in [0, 1]");
+    if (!(std::isfinite(p) && p >= 0.0 && p <= 1.0))
+        fatal(std::string(field) + " must be in [0, 1]");
 }
 
-} // namespace
+sim::Tick
+windowEnd(const std::vector<StallWindow> &windows, sim::Tick t)
+{
+    for (const StallWindow &w : windows) {
+        if (t < w.begin)
+            break; // sorted: later windows can't contain t
+        if (t < w.end)
+            return w.end;
+    }
+    return t;
+}
+
+void
+validateWindows(const std::vector<StallWindow> &windows, const char *field)
+{
+    sim::Tick prev_end = 0;
+    for (const StallWindow &w : windows) {
+        if (w.begin >= w.end)
+            fatal(std::string(field) + " entries must have begin < end");
+        if (w.begin < prev_end)
+            fatal(std::string(field) + " must be sorted and disjoint");
+        prev_end = w.end;
+    }
+}
 
 bool
 FaultPlan::active() const
@@ -41,10 +60,10 @@ FaultPlan::active() const
 void
 FaultPlan::validate() const
 {
-    requireProbability(dropProbability, "dropProbability");
-    requireProbability(lateProbability, "lateProbability");
-    requireProbability(transferSpikeProbability,
-                       "transferSpikeProbability");
+    validateProbability(dropProbability, "FaultPlan.dropProbability");
+    validateProbability(lateProbability, "FaultPlan.lateProbability");
+    validateProbability(transferSpikeProbability,
+                        "FaultPlan.transferSpikeProbability");
     require(std::isfinite(lateDelayCycles) && lateDelayCycles >= 0.0,
             "FaultPlan.lateDelayCycles must be finite and >= 0");
     require(std::isfinite(transferSpikeFactor) &&
@@ -53,14 +72,7 @@ FaultPlan::validate() const
     require(lateProbability == 0.0 || lateDelayCycles > 0.0,
             "FaultPlan.lateDelayCycles must be > 0 when "
             "lateProbability > 0");
-    sim::Tick prev_end = 0;
-    for (const StallWindow &w : stallWindows) {
-        require(w.begin < w.end,
-                "FaultPlan.stallWindows entries must have begin < end");
-        require(w.begin >= prev_end,
-                "FaultPlan.stallWindows must be sorted and disjoint");
-        prev_end = w.end;
-    }
+    validateWindows(stallWindows, "FaultPlan.stallWindows");
     if (deviceFailAtTick == kNeverTick) {
         require(deviceRecoverAtTick == kNeverTick,
                 "FaultPlan.deviceRecoverAtTick needs deviceFailAtTick");
@@ -78,7 +90,7 @@ FaultPlan::draw(std::uint64_t offloadIndex) const
     // One throwaway generator per offload keeps the draw a pure
     // function of (seed, index): fault outcomes cannot shift when
     // retries or scheduling change the order in which offloads issue.
-    Rng rng(mix(seed ^ mix(offloadIndex + 1)), kFaultStream);
+    Rng rng(slotSeed(seed, offloadIndex), kFaultStream);
     if (transferSpikeProbability > 0.0 &&
         rng.chance(transferSpikeProbability)) {
         d.transferFactor = transferSpikeFactor;
@@ -101,13 +113,7 @@ FaultPlan::stalledAt(sim::Tick t) const
 sim::Tick
 FaultPlan::stallEnd(sim::Tick t) const
 {
-    for (const StallWindow &w : stallWindows) {
-        if (t < w.begin)
-            break; // sorted: later windows can't contain t
-        if (t < w.end)
-            return w.end;
-    }
-    return t;
+    return windowEnd(stallWindows, t);
 }
 
 bool

@@ -32,6 +32,23 @@ struct StallWindow
     sim::Tick end = 0;
 };
 
+/**
+ * End of the window in @p windows (sorted by begin, disjoint) that
+ * contains @p t, or @p t itself when none does. Shared lookup behind
+ * every windowed fault (stalls, spikes, blackholes).
+ */
+sim::Tick windowEnd(const std::vector<StallWindow> &windows, sim::Tick t);
+
+/** @throws FatalError naming @p field unless @p p is in [0, 1]. */
+void validateProbability(double p, const char *field);
+
+/**
+ * @throws FatalError unless every window has begin < end and the list
+ *         is sorted by begin and disjoint; @p field names the list.
+ */
+void validateWindows(const std::vector<StallWindow> &windows,
+                     const char *field);
+
 /** Faults applied to one offload, fixed by (seed, offload index). */
 struct FaultDraw
 {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "model/config_frontend.hh"
 #include "util/json_fmt.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -544,11 +545,14 @@ ServiceGraph::run(double measureSeconds, double warmupSeconds)
                                0xed6e0000ULL + e);
     }
     edgeFaultSeq_.assign(edges_.size(), 0);
-    edgeBreakers_.assign(edges_.size(), EdgeBreaker{});
+    edgeBreakers_.clear();
+    edgeBreakers_.reserve(edges_.size());
     edgeRetryTokens_.clear();
     edgeRetryTokens_.reserve(edges_.size());
-    for (const EdgeConfig &edge : edges_)
+    for (const EdgeConfig &edge : edges_) {
+        edgeBreakers_.emplace_back(edge.breaker);
         edgeRetryTokens_.push_back(edge.retryBudget.cap); // start full
+    }
 
     for (size_t i = 0; i < specs_.size(); ++i) {
         AcceleratorTier *shared = nullptr;
@@ -690,43 +694,25 @@ ServiceGraph::issueCalls(std::uint64_t token)
             }
             continue;
         }
-        const faults::EdgeFaultPlan *plan =
-            edge.faultPlan && edge.faultPlan->active()
-                ? edge.faultPlan.get()
-                : nullptr;
+        bool faulty = edge.faultPlan && edge.faultPlan->active();
         for (std::uint32_t k = 0; k < edge.fanout; ++k) {
-            if (measuring_)
+            if (measuring_) {
                 ++metrics_.edges[e].callsIssued;
-            sim::Tick extra = 0;
-            if (plan) {
-                if (measuring_)
+                if (faulty)
                     ++metrics_.edges[e].attemptsIssued;
-                faults::EdgeFaultDraw d = plan->draw(edgeFaultSeq_[e]++);
-                bool lost = false;
-                if (plan->blackholedAt(eq_->now())) {
-                    lost = true;
-                    if (measuring_)
-                        ++metrics_.edges[e].callsBlackholed;
-                } else if (d.drop) {
-                    lost = true;
-                    if (measuring_)
-                        ++metrics_.edges[e].callsDropped;
-                }
-                if (lost) {
-                    // Only async edges may lose calls without a
-                    // timeout (validate() enforces it), and async
-                    // callers never joined — nothing else to do.
-                    continue;
-                }
-                if (plan->spikeActiveAt(eq_->now()))
-                    extra = static_cast<sim::Tick>(
-                        std::llround(d.extraLatencyCycles));
+            }
+            EdgeFault fault = drawEdgeFault(e);
+            if (fault.lost) {
+                // Only async edges may lose calls without a timeout
+                // (validate() enforces it), and async callers never
+                // joined — nothing else to do.
+                continue;
             }
             if (edge.style == CallStyle::Sync)
                 ++c.pendingChildren;
             sim::Tick issued = eq_->now();
             sim::Tick childDeadline = splitDeadline(e, parentDeadline);
-            eq_->scheduleIn(drawEdgeLatency(e) + extra,
+            eq_->scheduleIn(drawEdgeLatency(e) + fault.extra,
                             [this, e, token, issued, childDeadline]() {
                                 deliverCall(e, token, issued,
                                             childDeadline);
@@ -739,31 +725,17 @@ void
 ServiceGraph::deliverCall(std::size_t edge, std::uint64_t parentToken,
                           sim::Tick issuedAt, sim::Tick childDeadline)
 {
-    std::uint32_t callee = calleeIdx_[edge];
-    if (childDeadline != faults::kNeverTick &&
-        eq_->now() >= childDeadline) {
-        // Cancelled at the door: the budget died in transit, so the
-        // callee never spends a cycle on it. The sync caller's join
-        // degrades rather than fails — upstream still answers.
-        if (measuring_)
-            ++metrics_.edges[edge].callsCancelledBudget;
+    if (cancelledAtDoor(edge, childDeadline)) {
+        // The sync caller's join degrades rather than fails —
+        // upstream still answers.
         if (edges_[edge].style == CallStyle::Sync)
             settleChild(parentToken, /*childFailed=*/false,
                         /*childDegraded=*/true);
         return;
     }
-    std::uint64_t tok = nextToken_++;
-    if (sims_[callee]->injectArrival(tok)) {
-        Call c;
-        c.node = callee;
-        c.arrivedAt = eq_->now();
-        c.issuedAt = issuedAt;
-        c.parentToken = parentToken;
-        c.viaEdge = static_cast<std::int32_t>(edge);
-        c.deadline = childDeadline;
-        calls_.emplace(tok, c);
+    if (admitCall(edge, parentToken, issuedAt, childDeadline,
+                  /*chainId=*/0, /*attemptNo=*/0))
         return;
-    }
     // Shed at the callee's admission queue: the call never ran. A sync
     // caller learns immediately (degenerate "rejection response") and
     // the failure joins into its subtree.
@@ -817,15 +789,7 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
     if (edges_[e].style == CallStyle::Async) {
         // Fire-and-forget: the caller joined long ago; just close the
         // edge's books. Failures are counted, never propagated.
-        if (measuring_) {
-            EdgeStats &es = metrics_.edges[e];
-            ++es.callsCompleted;
-            if (failed)
-                ++es.failuresPropagated;
-            if (degraded)
-                ++es.degradedPropagated;
-            es.rttCycles.add(static_cast<double>(now - issued));
-        }
+        bookReturn(e, failed, degraded, issued);
         return;
     }
     // Sync: the response pays the return hop, then joins at the caller.
@@ -841,16 +805,7 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
                                    degraded);
                 return;
             }
-            if (measuring_) {
-                EdgeStats &es = metrics_.edges[e];
-                ++es.callsCompleted;
-                if (failed)
-                    ++es.failuresPropagated;
-                if (degraded)
-                    ++es.degradedPropagated;
-                es.rttCycles.add(
-                    static_cast<double>(eq_->now() - issued));
-            }
+            bookReturn(e, failed, degraded, issued);
             settleChild(parent, failed, degraded);
         });
 }
@@ -882,6 +837,79 @@ ServiceGraph::drawEdgeLatency(std::size_t edge)
         1, static_cast<sim::Tick>(std::llround(lat)));
 }
 
+ServiceGraph::EdgeFault
+ServiceGraph::drawEdgeFault(std::size_t edge)
+{
+    const faults::EdgeFaultPlan *plan = edges_[edge].faultPlan.get();
+    EdgeFault fault;
+    if (!plan || !plan->active())
+        return fault;
+    faults::EdgeFaultDraw d = plan->draw(edgeFaultSeq_[edge]++);
+    sim::Tick now = eq_->now();
+    if (plan->blackholedAt(now)) {
+        fault.lost = true;
+        if (measuring_)
+            ++metrics_.edges[edge].callsBlackholed;
+    } else if (d.drop) {
+        fault.lost = true;
+        if (measuring_)
+            ++metrics_.edges[edge].callsDropped;
+    } else if (plan->spikeActiveAt(now)) {
+        fault.extra =
+            static_cast<sim::Tick>(std::llround(d.extraLatencyCycles));
+    }
+    return fault;
+}
+
+bool
+ServiceGraph::cancelledAtDoor(std::size_t edge, sim::Tick childDeadline)
+{
+    // The budget died in transit, so the callee never spends a cycle
+    // on the call.
+    if (childDeadline == faults::kNeverTick || eq_->now() < childDeadline)
+        return false;
+    if (measuring_)
+        ++metrics_.edges[edge].callsCancelledBudget;
+    return true;
+}
+
+bool
+ServiceGraph::admitCall(std::size_t edge, std::uint64_t parentToken,
+                        sim::Tick issuedAt, sim::Tick childDeadline,
+                        std::uint64_t chainId, std::uint32_t attemptNo)
+{
+    std::uint32_t callee = calleeIdx_[edge];
+    std::uint64_t tok = nextToken_++;
+    if (!sims_[callee]->injectArrival(tok))
+        return false;
+    Call c;
+    c.node = callee;
+    c.arrivedAt = eq_->now();
+    c.issuedAt = issuedAt;
+    c.parentToken = parentToken;
+    c.viaEdge = static_cast<std::int32_t>(edge);
+    c.deadline = childDeadline;
+    c.chainId = chainId;
+    c.attemptNo = attemptNo;
+    calls_.emplace(tok, c);
+    return true;
+}
+
+void
+ServiceGraph::bookReturn(std::size_t edge, bool childFailed,
+                         bool childDegraded, sim::Tick issuedAt)
+{
+    if (!measuring_)
+        return;
+    EdgeStats &es = metrics_.edges[edge];
+    ++es.callsCompleted;
+    if (childFailed)
+        ++es.failuresPropagated;
+    if (childDegraded)
+        ++es.degradedPropagated;
+    es.rttCycles.add(static_cast<double>(eq_->now() - issuedAt));
+}
+
 // --------------------------------------------------------------------
 // Resilient edge dispatch
 // --------------------------------------------------------------------
@@ -910,8 +938,8 @@ void
 ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
                          sim::Tick parentDeadline)
 {
-    auto [pass, probe] = breakerGate(edge);
-    if (!pass) {
+    Breaker::Admit admit = edgeBreakers_[edge].gate(eq_->now());
+    if (admit == Breaker::Admit::Reject) {
         // Open breaker: skip the subtree instead of piling onto a
         // sick callee. The caller degrades — it answers without this
         // child's contribution — rather than failing outright.
@@ -921,6 +949,9 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
                     /*childDegraded=*/true);
         return;
     }
+    bool probe = admit == Breaker::Admit::Probe;
+    if (probe && measuring_)
+        ++metrics_.edges[edge].breakerProbes;
     std::uint64_t id = nextChainId_++;
     EdgeCall ec;
     ec.edge = edge;
@@ -968,26 +999,8 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
                                     remaining / left)));
     }
 
-    bool lost = false;
-    sim::Tick extra = 0;
-    if (cfg.faultPlan && cfg.faultPlan->active()) {
-        faults::EdgeFaultDraw d =
-            cfg.faultPlan->draw(edgeFaultSeq_[ec.edge]++);
-        if (cfg.faultPlan->blackholedAt(now)) {
-            lost = true;
-            if (measuring_)
-                ++metrics_.edges[ec.edge].callsBlackholed;
-        } else if (d.drop) {
-            lost = true;
-            if (measuring_)
-                ++metrics_.edges[ec.edge].callsDropped;
-        }
-        if (cfg.faultPlan->spikeActiveAt(now))
-            extra = static_cast<sim::Tick>(
-                std::llround(d.extraLatencyCycles));
-    }
-
-    if (!lost) {
+    EdgeFault fault = drawEdgeFault(ec.edge);
+    if (!fault.lost) {
         // The child's deadline is the attempt slice — never the RPC
         // timeout. A caller without a deadline budget gets no
         // cancellation help: its abandoned attempts run to completion
@@ -997,7 +1010,7 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
         sim::Tick issued = ec.issuedAt;
         std::uint32_t attemptNo = ec.attempt;
         std::size_t e = ec.edge;
-        eq_->scheduleIn(drawEdgeLatency(ec.edge) + extra,
+        eq_->scheduleIn(drawEdgeLatency(ec.edge) + fault.extra,
                         [this, e, chainId, attemptNo, childDeadline,
                          issued]() {
                             deliverAttempt(e, chainId, attemptNo,
@@ -1020,7 +1033,8 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
     } else {
         // No timeout and no deadline: only a lossless edge may wait
         // forever (validate() rejects lossy plans without timeouts).
-        ensure(!lost, "startAttempt: lost attempt with no timer armed");
+        ensure(!fault.lost,
+               "startAttempt: lost attempt with no timer armed");
     }
 }
 
@@ -1074,7 +1088,6 @@ ServiceGraph::deliverAttempt(std::size_t edge, std::uint64_t chainId,
                              std::uint32_t attemptNo,
                              sim::Tick childDeadline, sim::Tick issuedAt)
 {
-    std::uint32_t callee = calleeIdx_[edge];
     auto it = chains_.find(chainId);
     bool live = it != chains_.end() && it->second.attempt == attemptNo;
     if (!live) {
@@ -1082,42 +1095,16 @@ ServiceGraph::deliverAttempt(std::size_t edge, std::uint64_t chainId,
         // settled) before the network delivered it. With a budget the
         // delivery is cancelled at the door; without one the callee
         // has no way to know and runs it anyway — a zombie whose
-        // completion we attribute as callsCompletedIgnored.
-        if (childDeadline != faults::kNeverTick &&
-            eq_->now() >= childDeadline) {
-            if (measuring_)
-                ++metrics_.edges[edge].callsCancelledBudget;
-            return;
-        }
-        std::uint64_t tok = nextToken_++;
-        if (sims_[callee]->injectArrival(tok)) {
-            Call c;
-            c.node = callee;
-            c.arrivedAt = eq_->now();
-            c.issuedAt = issuedAt;
-            c.viaEdge = static_cast<std::int32_t>(edge);
-            c.deadline = childDeadline;
-            c.chainId = chainId;
-            c.attemptNo = attemptNo;
-            calls_.emplace(tok, c);
-        }
-        // A shed zombie has nobody to notify.
+        // completion we attribute as callsCompletedIgnored. A shed
+        // zombie has nobody to notify.
+        if (!cancelledAtDoor(edge, childDeadline))
+            admitCall(edge, /*parentToken=*/0, issuedAt, childDeadline,
+                      chainId, attemptNo);
         return;
     }
-    std::uint64_t tok = nextToken_++;
-    if (sims_[callee]->injectArrival(tok)) {
-        Call c;
-        c.node = callee;
-        c.arrivedAt = eq_->now();
-        c.issuedAt = issuedAt;
-        c.parentToken = it->second.parentToken;
-        c.viaEdge = static_cast<std::int32_t>(edge);
-        c.deadline = childDeadline;
-        c.chainId = chainId;
-        c.attemptNo = attemptNo;
-        calls_.emplace(tok, c);
+    if (admitCall(edge, it->second.parentToken, issuedAt, childDeadline,
+                  chainId, attemptNo))
         return;
-    }
     // Shed at the callee's admission queue: fail fast and let the
     // retry ladder decide what happens next.
     if (measuring_)
@@ -1142,16 +1129,7 @@ ServiceGraph::resolveChainReturn(std::size_t edge, std::uint64_t chainId,
             ++metrics_.edges[edge].callsCompletedIgnored;
         return;
     }
-    if (measuring_) {
-        EdgeStats &es = metrics_.edges[edge];
-        ++es.callsCompleted;
-        if (childFailed)
-            ++es.failuresPropagated;
-        if (childDegraded)
-            ++es.degradedPropagated;
-        es.rttCycles.add(
-            static_cast<double>(eq_->now() - it->second.issuedAt));
-    }
+    bookReturn(edge, childFailed, childDegraded, it->second.issuedAt);
     settleChain(chainId, ChainOutcome::Success, childFailed,
                 childDegraded);
 }
@@ -1170,8 +1148,7 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
     // The breaker watches transport health: a delivered response is a
     // success even when the child's subtree failed — the callee is
     // answering, which is all the breaker protects.
-    if (cfg.breaker.enabled)
-        breakerRecord(ec.edge, outcome == ChainOutcome::Success,
+    recordEdgeOutcome(ec.edge, outcome == ChainOutcome::Success,
                       ec.probe);
     if (cfg.retryBudget.enabled() && outcome == ChainOutcome::Success)
         edgeRetryTokens_[ec.edge] =
@@ -1195,75 +1172,20 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
     panic("settleChain: unreachable outcome");
 }
 
-std::pair<bool, bool>
-ServiceGraph::breakerGate(std::size_t edge)
-{
-    const EdgeConfig &cfg = edges_[edge];
-    if (!cfg.breaker.enabled)
-        return {true, false};
-    EdgeBreaker &b = edgeBreakers_[edge];
-    switch (b.state) {
-      case EdgeBreaker::State::Closed:
-        return {true, false};
-      case EdgeBreaker::State::Open:
-        if (static_cast<double>(eq_->now() - b.openedAt) >=
-            cfg.breaker.probeAfterCycles) {
-            b.state = EdgeBreaker::State::HalfOpen;
-            if (measuring_)
-                ++metrics_.edges[edge].breakerProbes;
-            return {true, true};
-        }
-        return {false, false};
-      case EdgeBreaker::State::HalfOpen:
-        // A probe is already in flight; everyone else short-circuits.
-        return {false, false};
-    }
-    panic("ServiceGraph::breakerGate: unreachable state");
-}
-
 void
-ServiceGraph::breakerRecord(std::size_t edge, bool success, bool probe)
+ServiceGraph::recordEdgeOutcome(std::size_t edge, bool success, bool probe)
 {
-    const EdgeConfig &cfg = edges_[edge];
-    EdgeBreaker &b = edgeBreakers_[edge];
-    if (probe) {
-        ensure(b.state == EdgeBreaker::State::HalfOpen,
-               "breakerRecord: probe outcome without half-open state");
-        if (success) {
-            b.state = EdgeBreaker::State::Closed;
-            b.window.clear();
-            b.failures = 0;
-            if (measuring_)
-                ++metrics_.edges[edge].breakerCloses;
-        } else {
-            b.state = EdgeBreaker::State::Open;
-            b.openedAt = eq_->now();
-        }
-        return;
-    }
-    if (b.state != EdgeBreaker::State::Closed)
-        return; // stragglers from before the breaker opened
-    b.window.push_back(success);
-    if (!success)
-        ++b.failures;
-    if (b.window.size() > cfg.breaker.window) {
-        if (!b.window.front())
-            --b.failures;
-        b.window.pop_front();
-    }
-    if (b.window.size() >= cfg.breaker.minSamples &&
-        static_cast<double>(b.failures) /
-                static_cast<double>(b.window.size()) >=
-            cfg.breaker.openThreshold) {
-        b.state = EdgeBreaker::State::Open;
-        b.openedAt = eq_->now();
-        b.window.clear();
-        b.failures = 0;
+    Breaker::Transition t =
+        edgeBreakers_[edge].record(success, probe, eq_->now());
+    if (t == Breaker::Transition::Opened) {
         if (measuring_)
             ++metrics_.edges[edge].breakerOpens;
+        const EdgeConfig &cfg = edges_[edge];
         warn("edge breaker " + cfg.caller + " -> " + cfg.callee +
              " opened at tick " + std::to_string(eq_->now()) +
              ": callers short-circuit to degraded responses");
+    } else if (t == Breaker::Transition::Closed && measuring_) {
+        ++metrics_.edges[edge].breakerCloses;
     }
 }
 
@@ -1312,26 +1234,6 @@ edgeFromConfig(const Config &cfg, const std::string &section,
     }
     // Any fault key enables the plan. No short-circuit: every key must
     // be probed so unusedKeys() sees them all.
-    auto parse_windows = [&cfg, &section](const std::string &wkey) {
-        std::vector<faults::StallWindow> windows;
-        for (const std::string &w :
-             split(cfg.getString(section, wkey), ',')) {
-            std::vector<std::string> ends = split(w, ':');
-            if (ends.size() != 2)
-                fatal("config key '" + wkey +
-                      "': want begin:end[,begin:end] in ticks, got '" +
-                      w + "'");
-            faults::StallWindow win;
-            try {
-                win.begin = parseCount(trim(ends[0]));
-                win.end = parseCount(trim(ends[1]));
-            } catch (const FatalError &err) {
-                fatal("config key '" + wkey + "': " + err.what());
-            }
-            windows.push_back(win);
-        }
-        return windows;
-    };
     bool f_seed = cfg.has(section, key("fault_seed"));
     bool f_drop = cfg.has(section, key("fault_drop_p"));
     bool f_spike = cfg.has(section, key("fault_spike_p"));
@@ -1349,10 +1251,11 @@ edgeFromConfig(const Config &cfg, const std::string &section,
         plan->spikeLatencyCycles =
             cfg.getDouble(section, key("fault_spike_cycles"), 0.0);
         if (f_spike_windows)
-            plan->spikeWindows =
-                parse_windows(key("fault_spike_windows"));
+            plan->spikeWindows = model::windowsFromConfig(
+                cfg, section, key("fault_spike_windows"));
         if (f_blackholes)
-            plan->blackholes = parse_windows(key("fault_blackholes"));
+            plan->blackholes = model::windowsFromConfig(
+                cfg, section, key("fault_blackholes"));
         e.faultPlan = std::move(plan);
     }
     return e;

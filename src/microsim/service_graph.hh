@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -40,6 +39,7 @@
 
 #include "config/config.hh"
 #include "faults/edge_fault_plan.hh"
+#include "microsim/breaker.hh"
 #include "microsim/service_spec.hh"
 #include "stats/reservoir.hh"
 
@@ -132,8 +132,9 @@ struct EdgeConfig
     /**
      * Per-edge circuit breaker: while open the caller skips the
      * subtree and settles the call degraded instead of piling onto a
-     * sick callee. Reuses the intra-service BreakerConfig; requires
-     * rpcTimeoutCycles > 0 (timeouts are the failure signal).
+     * sick callee. The same Breaker as the offload breaker inside a
+     * service; requires rpcTimeoutCycles > 0 (timeouts are the
+     * failure signal).
      */
     BreakerConfig breaker;
 
@@ -427,14 +428,11 @@ class ServiceGraph
         Failed,   //!< attempts/budget exhausted with no response
     };
 
-    /** Per-edge breaker instance (see BreakerConfig). */
-    struct EdgeBreaker
+    /** One attempt's edge-fault outcome (see drawEdgeFault). */
+    struct EdgeFault
     {
-        enum class State { Closed, Open, HalfOpen };
-        State state = State::Closed;
-        std::deque<bool> window;
-        std::uint32_t failures = 0;
-        sim::Tick openedAt = 0;
+        bool lost = false;   //!< blackholed or dropped in flight
+        sim::Tick extra = 0; //!< spike delay on a delivered attempt
     };
 
     std::uint32_t nodeIndex(const std::string &name) const;
@@ -450,6 +448,26 @@ class ServiceGraph
     void settleChild(std::uint64_t parentToken, bool childFailed,
                      bool childDegraded);
     sim::Tick drawEdgeLatency(std::size_t edge);
+    /**
+     * Draw @p edge's fault slot for one attempt issued now, counting a
+     * blackhole or drop. An edge without an active plan draws nothing.
+     */
+    EdgeFault drawEdgeFault(std::size_t edge);
+    /**
+     * The callee cancels a call whose budget died in transit; counts
+     * it. @return true when the call was cancelled at the door.
+     */
+    bool cancelledAtDoor(std::size_t edge, sim::Tick childDeadline);
+    /**
+     * Offer one call to @p edge's callee and, when admitted, track it
+     * as a Call. @return false when the callee shed it.
+     */
+    bool admitCall(std::size_t edge, std::uint64_t parentToken,
+                   sim::Tick issuedAt, sim::Tick childDeadline,
+                   std::uint64_t chainId, std::uint32_t attemptNo);
+    /** Book a response that reached the caller on @p edge. */
+    void bookReturn(std::size_t edge, bool childFailed,
+                    bool childDegraded, sim::Tick issuedAt);
 
     // --- resilient edge dispatch (timeout / retry / breaker / budget) ---
     sim::Tick splitDeadline(std::size_t edge, sim::Tick parentDeadline);
@@ -466,9 +484,8 @@ class ServiceGraph
                             bool childDegraded);
     void settleChain(std::uint64_t chainId, ChainOutcome outcome,
                      bool childFailed, bool childDegraded);
-    /** @return pass this call through, and whether it is the probe. */
-    std::pair<bool, bool> breakerGate(std::size_t edge);
-    void breakerRecord(std::size_t edge, bool success, bool probe);
+    /** Feed one settled chain to the edge breaker; count and warn. */
+    void recordEdgeOutcome(std::size_t edge, bool success, bool probe);
 
     std::uint64_t seed_;
     std::vector<ServiceSpec> specs_;
@@ -493,7 +510,7 @@ class ServiceGraph
     std::vector<std::uint64_t> edgeFaultSeq_;
     /** Per-edge retry-budget token levels. */
     std::vector<double> edgeRetryTokens_;
-    std::vector<EdgeBreaker> edgeBreakers_;
+    std::vector<Breaker> edgeBreakers_;
     bool measuring_ = false;
     bool ran_ = false;
     GraphMetrics metrics_;

@@ -34,6 +34,7 @@
 #include "microsim/accelerator.hh"
 #include "microsim/arrival_program.hh"
 #include "microsim/autoscaler.hh"
+#include "microsim/breaker.hh"
 #include "microsim/metrics.hh"
 #include "microsim/request_gen.hh"
 #include "microsim/tier.hh"
@@ -73,26 +74,6 @@ struct RetryPolicy
 
     /** True when the deadline/retry layer is engaged. */
     bool active() const { return timeoutCycles > 0; }
-
-    /** @throws FatalError on out-of-domain values (names the field). */
-    void validate() const;
-};
-
-/**
- * Failure-rate circuit breaker. While closed, offload outcomes feed a
- * sliding window; when the observed failure fraction crosses
- * openThreshold the breaker opens and kernels revert to host
- * execution. After probeAfterCycles one probe offload is attempted
- * (half-open): success closes the breaker, failure re-opens it.
- * Requires RetryPolicy::active() — timeouts are the failure signal.
- */
-struct BreakerConfig
-{
-    bool enabled = false;
-    std::uint32_t window = 32;     //!< sliding outcome window size
-    std::uint32_t minSamples = 8;  //!< samples before evaluating
-    double openThreshold = 0.5;    //!< failure fraction that opens
-    double probeAfterCycles = 1e6; //!< open -> probe delay (sim cycles)
 
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
@@ -208,37 +189,6 @@ class ServiceSim
      */
     ServiceSim(const ServiceSpec &spec, sim::EventQueue &eq,
                AcceleratorTier *sharedTier, bool serverMode);
-
-    /**
-     * @param service   instance configuration
-     * @param accel     accelerator device description
-     * @param workload  request mix
-     * @param seed      RNG seed (deterministic replay)
-     *
-     * @deprecated Construct through ServiceSpec instead; this shim
-     * delegates to the spec path bit-identically.
-     */
-    [[deprecated("construct via ServiceSpec (see service_spec.hh)")]]
-    ServiceSim(const ServiceConfig &service, const AcceleratorConfig &accel,
-               const WorkloadSpec &workload, std::uint64_t seed);
-
-    /**
-     * As above but with the accelerator behind a replicated tier.
-     * @p accel describes each replica; @p tier the replica count,
-     * dispatch policy, hedging, and health tracking. The default
-     * TierConfig (one replica, everything off) is the plain
-     * single-device constructor, bit for bit.
-     *
-     * @throws FatalError when hedging is combined with the Sync
-     *         design (reported via ServiceSpec::validate).
-     *
-     * @deprecated Construct through ServiceSpec instead; this shim
-     * delegates to the spec path bit-identically.
-     */
-    [[deprecated("construct via ServiceSpec (see service_spec.hh)")]]
-    ServiceSim(const ServiceConfig &service, const AcceleratorConfig &accel,
-               const TierConfig &tier, const WorkloadSpec &workload,
-               std::uint64_t seed);
 
     /**
      * Run the closed loop and return metrics for the measurement window.
@@ -453,22 +403,11 @@ class ServiceSim
 
     sim::Tick backoffTicks(std::uint32_t attempt) const;
 
-    // --- circuit breaker state machine ---
-    enum class BreakerState { Closed, Open, HalfOpen };
+    /** Offload breaker reverting kernels to host (see breaker.hh). */
+    Breaker breaker_;
 
-    struct BreakerGate
-    {
-        bool offload; //!< false: revert this kernel to the host
-        bool probe;   //!< this offload is the half-open probe
-    };
-
-    BreakerGate breakerGate();
-    void breakerRecord(bool success, bool probe);
-
-    BreakerState breakerState_ = BreakerState::Closed;
-    std::deque<bool> breakerWindow_;
-    std::uint32_t breakerFailures_ = 0;
-    sim::Tick breakerOpenedAt_ = 0;
+    /** Feed one attempt outcome to the breaker; count and warn. */
+    void recordOutcome(bool success, bool probe);
 
     // Fault storms must not flood stderr: first-N + suppressed-count
     // (count-based so logs replay identically for a seed).

@@ -8,8 +8,7 @@
  * policies, and the RNG seed — behind one fluent builder. It exists
  * because the ServiceSim constructor-overload set could not grow to
  * express "node in a ServiceGraph with an injected event queue and a
- * shared accelerator tier" without combinatorial explosion; the old
- * constructors survive only as deprecated delegating shims.
+ * shared accelerator tier" without combinatorial explosion.
  *
  * Unlike the per-struct validate() methods (which throw on the first
  * problem), errors() collects *every* field-named problem at once, so

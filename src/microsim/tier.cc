@@ -14,16 +14,6 @@ namespace accel::microsim {
 
 namespace {
 
-/** splitmix64 finalizer: decorrelates (seed, index) into an Rng seed. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 constexpr std::uint64_t kDispatchStream = 0xd15ULL;
 
 /** Watchdogs outrank completions at the same tick, matching the retry
@@ -227,7 +217,7 @@ AcceleratorTier::AcceleratorTier(sim::EventQueue &eq,
             // slot-indexed per (replica, offload) yet independent.
             auto reseeded =
                 std::make_shared<faults::FaultPlan>(*rc.faultPlan);
-            reseeded->seed = mix(rc.faultPlan->seed ^ mix(r + 1));
+            reseeded->seed = slotSeed(rc.faultPlan->seed, r);
             rc.faultPlan = std::move(reseeded);
         }
         replicas_.push_back(std::make_unique<Accelerator>(eq_, rc));
@@ -511,8 +501,7 @@ AcceleratorTier::pickReplica(size_t exclude, bool *isProbe)
         // Slot-indexed draws: the pair sampled for dispatch #i is a
         // pure function of (seed, i), so retries and hedges elsewhere
         // cannot shift it.
-        Rng rng(mix(cfg_.seed ^ mix(dispatchIndex_ + 1)),
-                kDispatchStream);
+        Rng rng(slotSeed(cfg_.seed, dispatchIndex_), kDispatchStream);
         ++dispatchIndex_;
         size_t a = candidates[rng.below(
             static_cast<std::uint32_t>(candidates.size()))];

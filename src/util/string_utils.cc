@@ -98,7 +98,9 @@ parseCount(std::string_view s)
         fatal("parseCount: non-finite value '" + std::string(s) + "'");
     if (v < 0)
         fatal("parseCount: negative value '" + std::string(s) + "'");
-    if (v > static_cast<double>(std::numeric_limits<std::uint64_t>::max()))
+    // uint64 max rounds up to 2^64 as a double, and 2^64 itself is
+    // already out of range for the cast below.
+    if (v >= static_cast<double>(std::numeric_limits<std::uint64_t>::max()))
         fatal("parseCount: value out of range '" + std::string(s) + "'");
     double rounded = std::round(v);
     if (std::abs(v - rounded) > 1e-6 * std::max(1.0, std::abs(v)))

@@ -2,8 +2,8 @@
  * @file
  * ServiceSpec: the unified construction API. Covers the fluent
  * builder, all-at-once error aggregation, the relocated hedge+Sync
- * cross-check, fromConfig round-tripping against hand-built specs,
- * and bit-parity of the deprecated constructor shims.
+ * cross-check, and fromConfig round-tripping against hand-built
+ * specs.
  */
 
 #include <gtest/gtest.h>
@@ -270,39 +270,6 @@ TEST(ServiceSpec, FromConfigListsEveryUnknownKey)
         EXPECT_NE(msg.find("first_typo"), std::string::npos);
         EXPECT_NE(msg.find("second_typo"), std::string::npos);
     }
-}
-
-TEST(ServiceSpec, DeprecatedConstructorShimsAreBitIdentical)
-{
-    ServiceMetrics via_spec = ServiceSim(ServiceSpec()
-                                             .service(service())
-                                             .accelerator(device())
-                                             .workload(workload())
-                                             .seed(11))
-                                  .run(0.02, 0.005);
-
-    TierConfig tier;
-    tier.replicas = 2;
-    ServiceMetrics tier_via_spec = ServiceSim(ServiceSpec()
-                                                  .service(service())
-                                                  .accelerator(device())
-                                                  .tier(tier)
-                                                  .workload(workload())
-                                                  .seed(11))
-                                       .run(0.02, 0.005);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    // deprecated-ok: this test is the shim-parity proof itself.
-    ServiceMetrics via_shim =
-        ServiceSim(service(), device(), workload(), 11).run(0.02, 0.005);
-    ServiceMetrics tier_via_shim =
-        ServiceSim(service(), device(), tier, workload(), 11)
-            .run(0.02, 0.005);
-#pragma GCC diagnostic pop
-
-    EXPECT_EQ(via_spec.summaryJson(), via_shim.summaryJson());
-    EXPECT_EQ(tier_via_spec.summaryJson(), tier_via_shim.summaryJson());
 }
 
 } // namespace

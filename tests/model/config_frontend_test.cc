@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,21 @@ TEST(ConfigFrontend, FaultPlanSingleKeyActivates)
     EXPECT_TRUE(plan->stallWindows.empty());
 }
 
+/** Section [x] holding @p line must fail, naming config key @p key. */
+void
+expectRejectedNaming(const std::string &line, const std::string &key)
+{
+    Config cfg = Config::fromString("[x]\n" + line + "\n");
+    try {
+        faultPlanFromConfig(cfg, "x");
+        ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("'" + key + "'"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ConfigFrontend, FaultPlanRejectsMalformedStalls)
 {
     Config bad1 = Config::fromString("[x]\nfault_stalls = 1e6\n");
@@ -192,6 +208,14 @@ TEST(ConfigFrontend, FaultPlanRejectsMalformedStalls)
     EXPECT_THROW(faultPlanFromConfig(bad2, "x"), FatalError);
     Config bad3 = Config::fromString("[x]\nfault_stalls = ,\n");
     EXPECT_THROW(faultPlanFromConfig(bad3, "x"), FatalError);
+    expectRejectedNaming("fault_stalls = 1e6", "fault_stalls");
+    expectRejectedNaming("fault_stalls = 1:2:3", "fault_stalls");
+    expectRejectedNaming("fault_stalls = ,", "fault_stalls");
+    // Ticks are counts: fractions are no longer truncated, and
+    // negative or non-finite ends never reach an integer cast.
+    expectRejectedNaming("fault_stalls = 100.9:200.2", "fault_stalls");
+    expectRejectedNaming("fault_stalls = -5:10", "fault_stalls");
+    expectRejectedNaming("fault_stalls = 0:nan", "fault_stalls");
 }
 
 TEST(ConfigFrontend, FaultPlanValidationPropagates)
@@ -207,6 +231,16 @@ TEST(ConfigFrontend, FaultPlanValidationPropagates)
     Config bad3 = Config::fromString(
         "[x]\nfault_fail_at = 5e6\nfault_recover_at = 1e6\n");
     EXPECT_THROW(faultPlanFromConfig(bad3, "x"), FatalError);
+    // Ticks and the seed parse as counts. A negative fail tick used to
+    // wrap to kNeverTick and silently disable the failure; a negative
+    // seed used to wrap to 2^64 - 3.
+    expectRejectedNaming("fault_fail_at = -1", "fault_fail_at");
+    expectRejectedNaming("fault_fail_at = 2.5", "fault_fail_at");
+    expectRejectedNaming("fault_fail_at = 1.8446744073709552e19",
+                         "fault_fail_at");
+    expectRejectedNaming("fault_recover_at = nan", "fault_recover_at");
+    expectRejectedNaming("fault_seed = -3", "fault_seed");
+    expectRejectedNaming("fault_seed = inf", "fault_seed");
 }
 
 TEST(ConfigFrontend, PlannerModeRejectsAmbiguity)

@@ -102,6 +102,16 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import sarif_util  # noqa: E402
+from source_frontend import (  # noqa: E402
+    Finding,
+    audit_suppressions,
+    collect_files,
+    line_of,
+    match_balanced,
+    read_text,
+    strip_comments_and_strings,
+    suppressed_rules_by_line,
+)
 
 TOOL_NAME = "accel-analyze"
 TOOL_VERSION = "1.0.0"
@@ -128,8 +138,6 @@ RULE_DESCRIPTIONS = {
         "metrics counter incremented but never reported, or reported "
         "but never incremented",
 }
-
-CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".hh", ".h", ".hpp")
 
 # Directories whose code must be free of std::<random> distribution
 # draws (mirrors accel_lint.DETERMINISM_SCOPE).
@@ -163,8 +171,6 @@ LOOP_DRIVERS = ("run", "runUntil", "runFor", "runNext")
 RNG_ADVANCE_METHODS = ("next64", "next", "uniform", "below64", "below",
                       "chance", "exponential", "gaussian", "logNormal")
 
-SUPPRESS_RE = re.compile(r"//\s*accel-lint:\s*allow\(([\w\-, ]+)\)")
-
 CXX_KEYWORDS = frozenset({
     "if", "for", "while", "switch", "return", "catch", "sizeof",
     "decltype", "alignof", "noexcept", "new", "delete", "throw",
@@ -173,142 +179,9 @@ CXX_KEYWORDS = frozenset({
 })
 
 
-class Finding:
-    def __init__(self, path, line, rule, message, suppressed=False,
-                 baselined=False):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-        self.suppressed = suppressed
-        self.baselined = baselined
-
-    def as_dict(self):
-        return {
-            "file": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-            "suppressed": self.suppressed,
-            "baselined": self.baselined,
-        }
-
-    def render(self):
-        tag = ""
-        if self.suppressed:
-            tag = " (suppressed)"
-        elif self.baselined:
-            tag = " (baselined)"
-        return "%s:%d: [%s]%s %s" % (self.path, self.line, self.rule,
-                                     tag, self.message)
-
-
 # ---------------------------------------------------------------------
-# Lexing (same semantics as accel_lint: positions are preserved)
+# Token helpers (the lexer itself is in source_frontend.py)
 # ---------------------------------------------------------------------
-
-def strip_comments_and_strings(text):
-    """Blank out comments, string and char literals, preserving line
-    structure and column offsets. Collect suppressions first."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                out.append(" ")
-                i += 1
-        elif c == "/" and nxt == "*":
-            out.append("  ")
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n
-                                 and text[i + 1] == "/"):
-                out.append("\n" if text[i] == "\n" else " ")
-                i += 1
-            if i < n:
-                out.append("  ")
-                i += 2
-        elif c == "R" and nxt == '"' and (i == 0 or
-                                          not (text[i - 1].isalnum() or
-                                               text[i - 1] == "_")):
-            j = i + 2
-            while j < n and text[j] not in "(\n":
-                j += 1
-            delim = text[i + 2:j]
-            terminator = ")" + delim + '"'
-            end = text.find(terminator, j)
-            end = (end + len(terminator)) if end != -1 else n
-            for k in range(i, end):
-                out.append("\n" if text[k] == "\n" else " ")
-            i = end
-        elif c == '"' or c == "'":
-            quote = c
-            out.append(quote)
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    out.append("  ")
-                    i += 2
-                else:
-                    out.append("\n" if text[i] == "\n" else " ")
-                    i += 1
-            if i < n:
-                out.append(quote)
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def suppressed_rules_by_line(text):
-    """Line number -> set of rule names allowed on that line (an
-    allow() in a comment-only line covers the next code line)."""
-    lines = text.splitlines()
-    allowed = {}
-
-    def add(lineno, rules):
-        allowed.setdefault(lineno, set()).update(rules)
-
-    for lineno, line in enumerate(lines, start=1):
-        m = SUPPRESS_RE.search(line)
-        if not m:
-            continue
-        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-        add(lineno, rules)
-        if line.strip().startswith("//"):
-            nxt = lineno
-            while nxt < len(lines) and \
-                    lines[nxt].strip().startswith("//"):
-                nxt += 1
-            add(nxt + 1, rules)
-    return allowed
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def match_balanced(text, start, open_ch, close_ch):
-    """Offset one past the bracket closing text[start], or None."""
-    assert text[start] == open_ch
-    depth = 0
-    i = start
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        elif open_ch == "<" and c == ";":
-            return None
-        i += 1
-    return None
-
 
 def prev_sig_char(text, pos):
     """The nearest non-whitespace character before pos, or ''."""
@@ -796,8 +669,7 @@ class FileCtx:
     def __init__(self, root, path):
         self.path = path
         self.rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8", errors="replace") as f:
-            self.text = f.read()
+        self.text = read_text(path)
         self.allowed = suppressed_rules_by_line(self.text)
         self.clean = strip_comments_and_strings(self.text)
         self.functions = find_functions(self.clean)
@@ -1457,70 +1329,8 @@ def write_baseline(path, findings, ctx_by_rel):
 
 
 # ---------------------------------------------------------------------
-# Suppression audit (shared semantics with accel_lint)
-# ---------------------------------------------------------------------
-
-def audit_suppressions(ctxs, findings, tool_rules):
-    """Stale allow() comments: a suppression naming one of this
-    tool's rules where that rule produced no finding on any covered
-    line. Foreign rule names (the other tool's) are ignored."""
-    fired = {}  # (rel, line) -> set of rules (suppressed or not)
-    for f in findings:
-        fired.setdefault((f.path, f.line), set()).add(f.rule)
-    stale = []
-    for ctx in ctxs:
-        lines = ctx.text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            m = SUPPRESS_RE.search(line)
-            if not m:
-                continue
-            rules = {r.strip() for r in m.group(1).split(",")
-                     if r.strip()} & set(tool_rules)
-            if not rules:
-                continue
-            covered = {lineno, lineno + 1}
-            if line.strip().startswith("//"):
-                nxt = lineno
-                while nxt < len(lines) and \
-                        lines[nxt].strip().startswith("//"):
-                    nxt += 1
-                covered.add(nxt + 1)
-            for rule in sorted(rules):
-                if any(rule in fired.get((ctx.rel, ln), ())
-                       for ln in covered):
-                    continue
-                stale.append(Finding(
-                    ctx.rel, lineno, "stale-suppression",
-                    "allow(%s) no longer matches any %s finding on "
-                    "this line; remove the suppression" %
-                    (rule, rule)))
-    return stale
-
-
-# ---------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------
-
-def collect_files(root, paths, excludes):
-    files = []
-    for base in paths:
-        full = os.path.join(root, base)
-        if os.path.isfile(full):
-            files.append(full)
-            continue
-        if not os.path.isdir(full):
-            continue
-        for dirpath, dirnames, filenames in os.walk(full):
-            rel_dir = os.path.relpath(dirpath, root)
-            if any(rel_dir == e or rel_dir.startswith(e + "/")
-                   for e in excludes):
-                dirnames[:] = []
-                continue
-            for fn in sorted(filenames):
-                if fn.endswith(CXX_EXTENSIONS):
-                    files.append(os.path.join(dirpath, fn))
-    return sorted(set(files))
-
 
 def main(argv):
     ap = argparse.ArgumentParser(
@@ -1641,7 +1451,7 @@ def main(argv):
 
     if args.audit_suppressions:
         stale = audit_suppressions(
-            [c for c in ctxs if c.rel in requested_rels],
+            ((c.rel, c.text) for c in ctxs if c.rel in requested_rels),
             findings, ALL_RULES)
         stale.sort(key=lambda f: (f.path, f.line))
         for f in stale:

@@ -60,6 +60,23 @@ import subprocess
 import sys
 import tempfile
 
+# The source front end and the SARIF emitter are shared with
+# tools/analyze.
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "analyze"))
+import sarif_util  # noqa: E402
+from source_frontend import (  # noqa: E402
+    SUPPRESS_RE,
+    Finding,
+    audit_suppressions,
+    collect_files,
+    line_of,
+    match_balanced,
+    read_text,
+    strip_comments_and_strings,
+    suppressed_rules_by_line,
+)
+
 # ---------------------------------------------------------------------
 # Rule table
 # ---------------------------------------------------------------------
@@ -87,8 +104,6 @@ ALL_RULES = (
     "header-standalone",
 )
 
-CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".hh", ".h", ".hpp")
-
 RANDOM_PATTERNS = (
     (re.compile(r"(?<![\w.>])s?rand\s*\("), "rand()/srand()"),
     (re.compile(r"(?<![\w.>])random\s*\(\s*\)"), "random()"),
@@ -109,8 +124,6 @@ CLOCK_PATTERNS = (
      "time()"),
 )
 
-SUPPRESS_RE = re.compile(r"//\s*accel-lint:\s*allow\(([\w\-, ]+)\)")
-
 TOOL_NAME = "accel-lint"
 TOOL_VERSION = "1.1"
 
@@ -128,160 +141,6 @@ RULE_DESCRIPTIONS = {
     "header-standalone": "every header under src/ must compile on "
                          "its own",
 }
-
-
-def _load_sarif_util():
-    """The SARIF emitter is shared with tools/analyze."""
-    sys.path.insert(0, os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "analyze"))
-    import sarif_util
-    return sarif_util
-
-
-class Finding:
-    def __init__(self, path, line, rule, message, suppressed=False):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-        self.suppressed = suppressed
-
-    def as_dict(self):
-        return {
-            "file": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-            "suppressed": self.suppressed,
-        }
-
-    def render(self):
-        tag = " (suppressed)" if self.suppressed else ""
-        return "%s:%d: [%s]%s %s" % (self.path, self.line, self.rule,
-                                     tag, self.message)
-
-
-# ---------------------------------------------------------------------
-# Source preprocessing
-# ---------------------------------------------------------------------
-
-def strip_comments_and_strings(text):
-    """Blank out comments, string and char literals, preserving line
-    structure and column offsets so findings keep exact positions.
-
-    Suppression comments must be collected *before* calling this.
-    """
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                out.append(" ")
-                i += 1
-        elif c == "/" and nxt == "*":
-            out.append("  ")
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n
-                                 and text[i + 1] == "/"):
-                out.append("\n" if text[i] == "\n" else " ")
-                i += 1
-            if i < n:
-                out.append("  ")
-                i += 2
-        elif c == "R" and nxt == '"' and (i == 0 or
-                                          not (text[i - 1].isalnum() or
-                                               text[i - 1] == "_")):
-            # Raw string literal: R"delim( ... )delim" — unescaped
-            # quotes and backslashes inside must not desync the lexer.
-            j = i + 2
-            while j < n and text[j] not in "(\n":
-                j += 1
-            delim = text[i + 2:j]
-            terminator = ")" + delim + '"'
-            end = text.find(terminator, j)
-            end = (end + len(terminator)) if end != -1 else n
-            for k in range(i, end):
-                out.append("\n" if text[k] == "\n" else " ")
-            i = end
-        elif c == '"' or c == "'":
-            quote = c
-            out.append(quote)
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    out.append("  ")
-                    i += 2
-                else:
-                    out.append("\n" if text[i] == "\n" else " ")
-                    i += 1
-            if i < n:
-                out.append(quote)
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def suppressed_rules_by_line(text):
-    """Map line number -> set of rule names allowed on that line.
-
-    An allow() on a code line covers that line. An allow() inside a
-    comment block covers the first code line after the block, so a
-    justification may wrap over several comment lines.
-    """
-    lines = text.splitlines()
-    allowed = {}
-
-    def add(lineno, rules):
-        allowed.setdefault(lineno, set()).update(rules)
-
-    for lineno, line in enumerate(lines, start=1):
-        m = SUPPRESS_RE.search(line)
-        if not m:
-            continue
-        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-        add(lineno, rules)
-        if line.strip().startswith("//"):
-            # Comment-only line: cover the first following code line.
-            nxt = lineno
-            while nxt < len(lines) and \
-                    lines[nxt].strip().startswith("//"):
-                nxt += 1
-            add(nxt + 1, rules)
-    return allowed
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def match_balanced(text, start, open_ch, close_ch):
-    """Return the offset one past the bracket closing text[start]
-    (which must be open_ch), or None when unbalanced. Handles '>>' when
-    matching angle brackets by counting each '>' individually."""
-    assert text[start] == open_ch
-    depth = 0
-    i = start
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        elif open_ch == "<" and c in "();":
-            # A template argument list never crosses these at depth 1
-            # outside nested parens; std::function<void(int)> keeps its
-            # parens inside the <>, so only bail on ';'.
-            if c == ";":
-                return None
-        i += 1
-    return None
 
 
 # ---------------------------------------------------------------------
@@ -565,57 +424,6 @@ def libclang_param_lines(path, flags):
 
 
 # ---------------------------------------------------------------------
-# Suppression audit (shared semantics with accel_analyze)
-# ---------------------------------------------------------------------
-
-def audit_suppressions(root, files, findings, tool_rules):
-    """Stale allow() comments: a suppression naming one of this tool's
-    rules where that rule produced no finding on any covered line.
-    Foreign rule names (accel_analyze's) are ignored. An allow() in a
-    header's first 15 lines also covers the header-standalone finding
-    pinned to line 1."""
-    fired = {}  # (rel, line) -> set of rules (suppressed or not)
-    for f in findings:
-        fired.setdefault((f.path, f.line), set()).add(f.rule)
-    stale = []
-    for path in files:
-        rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8", errors="replace") as f:
-            text = f.read()
-        lines = text.splitlines()
-        is_header = rel.endswith((".hh", ".hpp", ".h"))
-        for lineno, line in enumerate(lines, start=1):
-            m = SUPPRESS_RE.search(line)
-            if not m:
-                continue
-            rules = {r.strip() for r in m.group(1).split(",")
-                     if r.strip()} & set(tool_rules)
-            if not rules:
-                continue
-            covered = {lineno, lineno + 1}
-            if line.strip().startswith("//"):
-                nxt = lineno
-                while nxt < len(lines) and \
-                        lines[nxt].strip().startswith("//"):
-                    nxt += 1
-                covered.add(nxt + 1)
-            for rule in sorted(rules):
-                rule_covered = set(covered)
-                if rule == "header-standalone" and is_header and \
-                        lineno <= 15:
-                    rule_covered.add(1)
-                if any(rule in fired.get((rel, ln), ())
-                       for ln in rule_covered):
-                    continue
-                stale.append(Finding(
-                    rel, lineno, "stale-suppression",
-                    "allow(%s) no longer matches any %s finding on "
-                    "this line; remove the suppression" %
-                    (rule, rule)))
-    return stale
-
-
-# ---------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------
 
@@ -624,29 +432,9 @@ def in_scope(rel):
                for d in DETERMINISM_SCOPE)
 
 
-def collect_files(root, paths, excludes):
-    files = []
-    for base in paths:
-        full = os.path.join(root, base)
-        if os.path.isfile(full):
-            files.append(full)
-            continue
-        for dirpath, dirnames, filenames in os.walk(full):
-            rel_dir = os.path.relpath(dirpath, root)
-            if any(rel_dir == e or rel_dir.startswith(e + "/")
-                   for e in excludes):
-                dirnames[:] = []
-                continue
-            for fn in sorted(filenames):
-                if fn.endswith(CXX_EXTENSIONS):
-                    files.append(os.path.join(dirpath, fn))
-    return sorted(set(files))
-
-
 def lint_file(root, path, rules, use_libclang, clang_flags):
     rel = os.path.relpath(path, root)
-    with open(path, encoding="utf-8", errors="replace") as f:
-        text = f.read()
+    text = read_text(path)
     allowed = suppressed_rules_by_line(text)
     clean = strip_comments_and_strings(text)
     findings = []
@@ -759,7 +547,18 @@ def main(argv):
     findings = deduped
 
     if args.audit_suppressions:
-        stale = audit_suppressions(root, files, findings, ALL_RULES)
+        def header_anchor(rule, rel, lineno):
+            # header-standalone findings pin to line 1; an allow() in
+            # a header's first 15 lines covers them.
+            if rule == "header-standalone" and lineno <= 15 and \
+                    rel.endswith((".hh", ".hpp", ".h")):
+                return (1,)
+            return ()
+
+        stale = audit_suppressions(
+            ((os.path.relpath(path, root), read_text(path))
+             for path in files),
+            findings, ALL_RULES, header_anchor)
         stale.sort(key=lambda f: (f.path, f.line))
         for f in stale:
             print(f.render())
@@ -796,7 +595,6 @@ def main(argv):
             f.write("\n")
 
     if args.sarif_out:
-        sarif_util = _load_sarif_util()
         sarif = sarif_util.make_sarif(
             TOOL_NAME, TOOL_VERSION, RULE_DESCRIPTIONS,
             [f.as_dict() for f in findings], base_uri=root)
