@@ -1,6 +1,7 @@
 #include "config/config.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -100,60 +101,75 @@ std::string
 Config::getString(const std::string &section, const std::string &key) const
 {
     auto v = get(section, key);
-    if (!v)
-        fatal("config: missing key '" + key + "' in section [" + section +
-              "]");
+    require(v.has_value(), keyName(section, key) + " is missing");
     return *v;
-}
-
-std::string
-Config::getString(const std::string &section, const std::string &key,
-                  const std::string &fallback) const
-{
-    auto v = get(section, key);
-    return v ? *v : fallback;
 }
 
 double
 Config::getDouble(const std::string &section, const std::string &key) const
 {
-    return parseDouble(getString(section, key));
-}
-
-double
-Config::getDouble(const std::string &section, const std::string &key,
-                  double fallback) const
-{
-    auto v = get(section, key);
-    return v ? parseDouble(*v) : fallback;
+    return parseValue(section, key, getString(section, key), parseDouble);
 }
 
 std::uint64_t
 Config::getCount(const std::string &section, const std::string &key) const
 {
-    return parseCount(getString(section, key));
-}
-
-std::uint64_t
-Config::getCount(const std::string &section, const std::string &key,
-                 std::uint64_t fallback) const
-{
-    auto v = get(section, key);
-    return v ? parseCount(*v) : fallback;
+    return parseValue(section, key, getString(section, key), parseCount);
 }
 
 bool
 Config::getBool(const std::string &section, const std::string &key) const
 {
-    return parseBool(getString(section, key));
+    return parseValue(section, key, getString(section, key), parseBool);
 }
 
 bool
-Config::getBool(const std::string &section, const std::string &key,
-                bool fallback) const
+Config::read(const std::string &section, const std::string &key,
+             double &field) const
 {
-    auto v = get(section, key);
-    return v ? parseBool(*v) : fallback;
+    return read(section, key, field, parseDouble);
+}
+
+bool
+Config::read(const std::string &section, const std::string &key,
+             std::uint32_t &field) const
+{
+    std::uint64_t wide = 0;
+    if (!read(section, key, wide))
+        return false;
+    constexpr std::uint32_t max = std::numeric_limits<std::uint32_t>::max();
+    require(wide <= max, keyName(section, key) + ": value " +
+                             std::to_string(wide) + " out of range (max " +
+                             std::to_string(max) + ")");
+    field = static_cast<std::uint32_t>(wide);
+    return true;
+}
+
+bool
+Config::read(const std::string &section, const std::string &key,
+             std::uint64_t &field) const
+{
+    return read(section, key, field, parseCount);
+}
+
+bool
+Config::read(const std::string &section, const std::string &key,
+             bool &field) const
+{
+    return read(section, key, field, parseBool);
+}
+
+bool
+Config::read(const std::string &section, const std::string &key,
+             std::string &field) const
+{
+    return read(section, key, field, [](const std::string &v) { return v; });
+}
+
+std::string
+Config::keyName(const std::string &section, const std::string &key)
+{
+    return "config key '" + key + "' in [" + section + "]";
 }
 
 std::vector<std::string>
@@ -191,6 +207,21 @@ Config::unusedKeys(const std::string &section) const
             out.push_back(key);
     }
     return out;
+}
+
+void
+Config::rejectUnknownKeys(const std::string &section,
+                          const std::string &hint) const
+{
+    std::vector<std::string> unknown = unusedKeys(section);
+    if (unknown.empty())
+        return;
+    std::string msg = "config: unknown key" +
+        std::string(unknown.size() == 1 ? "" : "s") + " in [" + section +
+        "]:";
+    for (const std::string &k : unknown)
+        msg += " '" + k + "'";
+    fatal(msg + hint);
 }
 
 void

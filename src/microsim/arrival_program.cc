@@ -37,6 +37,28 @@ rateOn(const ArrivalProgram &p, double from, double at)
     return p.segments.empty() ? 0.0 : p.segments.back().endRate;
 }
 
+/**
+ * The `time:rate[,time:rate]` breakpoints of an arrival_trace value,
+ * as segments with only their start time and rate set.
+ */
+std::vector<ArrivalSegment>
+breakpointsFromString(const std::string &text)
+{
+    std::vector<ArrivalSegment> points;
+    for (const std::string &part : split(text, ',')) {
+        std::string pair = trim(part);
+        if (pair.empty())
+            continue;
+        auto fields = split(pair, ':');
+        require(fields.size() == 2,
+                "expected time:rate, got '" + pair + "'");
+        points.push_back(
+            {parseDouble(fields[0]), 0.0, parseDouble(fields[1]), 0.0});
+    }
+    require(!points.empty(), "no breakpoints");
+    return points;
+}
+
 } // namespace
 
 double
@@ -288,56 +310,35 @@ ArrivalProgram
 arrivalProgramFromConfig(const Config &cfg, const std::string &section)
 {
     ArrivalProgram program;
-    bool linear = false;
-    if (cfg.has(section, "arrival_shape")) {
-        std::string shape = cfg.getString(section, "arrival_shape");
-        require(shape == "step" || shape == "linear",
-                "arrival_shape: want 'step' or 'linear', got '" +
-                    shape + "'");
-        linear = shape == "linear";
-    }
-    program.periodSeconds =
-        cfg.getDouble(section, "arrival_period", 0.0);
+    std::string shape = "step";
+    bool shaped = cfg.read(section, "arrival_shape", shape);
+    require(shape == "step" || shape == "linear",
+            Config::keyName(section, "arrival_shape") +
+                ": want 'step' or 'linear', got '" + shape + "'");
+    bool linear = shape == "linear";
+    cfg.read(section, "arrival_period", program.periodSeconds);
 
-    if (cfg.has(section, "arrival_trace")) {
-        std::vector<double> times;
-        std::vector<double> rates;
-        for (const std::string &part :
-             split(cfg.getString(section, "arrival_trace"), ',')) {
-            std::string pair = trim(part);
-            if (pair.empty())
-                continue;
-            auto fields = split(pair, ':');
-            require(fields.size() == 2,
-                    "arrival_trace: expected time:rate, got '" + pair +
-                        "'");
-            times.push_back(parseDouble(fields[0]));
-            rates.push_back(parseDouble(fields[1]));
-        }
-        require(!times.empty(), "arrival_trace: no breakpoints");
-        for (size_t i = 0; i < times.size(); ++i) {
-            double end;
-            double endRate;
-            if (i + 1 < times.size()) {
-                end = times[i + 1];
-                endRate = linear ? rates[i + 1] : rates[i];
+    std::vector<ArrivalSegment> &segs = program.segments;
+    if (cfg.read(section, "arrival_trace", segs, breakpointsFromString)) {
+        for (size_t i = 0; i < segs.size(); ++i) {
+            ArrivalSegment &seg = segs[i];
+            if (i + 1 < segs.size()) {
+                seg.endSeconds = segs[i + 1].startSeconds;
+                seg.endRate = linear ? segs[i + 1].startRate : seg.startRate;
             } else if (program.periodSeconds > 0.0) {
                 // Periodic: the last span closes the loop; a linear
                 // trace ramps back to the first breakpoint's rate.
-                end = program.periodSeconds;
-                endRate = linear ? rates.front() : rates[i];
+                seg.endSeconds = program.periodSeconds;
+                seg.endRate = linear ? segs.front().startRate : seg.startRate;
             } else {
-                end = kInf;
-                endRate = rates[i];
+                seg.endSeconds = kInf;
+                seg.endRate = seg.startRate;
             }
-            program.segments.push_back(
-                ArrivalSegment{times[i], end, rates[i], endRate});
         }
     } else {
         require(program.periodSeconds == 0.0,
                 "arrival_period: set without arrival_trace");
-        require(!cfg.has(section, "arrival_shape"),
-                "arrival_shape: set without arrival_trace");
+        require(!shaped, "arrival_shape: set without arrival_trace");
     }
 
     if (cfg.has(section, "arrival_flash_at")) {
@@ -346,11 +347,13 @@ arrivalProgramFromConfig(const Config &cfg, const std::string &section)
         require(program.periodSeconds == 0.0,
                 "arrival_flash_at: a flash crowd on a periodic trace "
                 "is unsupported; unroll the trace instead");
+        double ramp = 0.0;
+        double hold = 0.0;
+        cfg.read(section, "arrival_flash_ramp", ramp);
+        cfg.read(section, "arrival_flash_hold", hold);
         ArrivalProgram flash = ArrivalProgram::flashCrowd(
             cfg.getDouble(section, "arrival_flash_extra"),
-            cfg.getDouble(section, "arrival_flash_at"),
-            cfg.getDouble(section, "arrival_flash_ramp", 0.0),
-            cfg.getDouble(section, "arrival_flash_hold", 0.0));
+            cfg.getDouble(section, "arrival_flash_at"), ramp, hold);
         program = ArrivalProgram::compose({program, flash});
     }
 

@@ -73,36 +73,24 @@ AutoscalerConfig
 autoscalerFromConfig(const Config &cfg, const std::string &section)
 {
     AutoscalerConfig a;
-    if (cfg.has(section, "scale_interval")) {
-        a.enabled = true;
-        a.intervalCycles = cfg.getDouble(section, "scale_interval");
+    a.enabled = cfg.read(section, "scale_interval", a.intervalCycles);
+    if (a.enabled) {
         a.sloLatencyCycles = cfg.getDouble(section, "scale_slo_p99");
+        cfg.read(section, "scale_up_pressure", a.scaleUpPressure);
+        cfg.read(section, "scale_down_pressure", a.scaleDownPressure);
+        cfg.read(section, "scale_up_windows", a.upWindows);
+        cfg.read(section, "scale_down_windows", a.downWindows);
+        cfg.read(section, "scale_cooldown", a.cooldownCycles);
+        cfg.read(section, "scale_min_replicas", a.minReplicas);
+        a.maxReplicas = a.minReplicas; // an absent cap pins the floor
+        cfg.read(section, "scale_max_replicas", a.maxReplicas);
+        cfg.read(section, "scale_step", a.scaleStep);
     }
-    a.scaleUpPressure =
-        cfg.getDouble(section, "scale_up_pressure", 0.9);
-    a.scaleDownPressure =
-        cfg.getDouble(section, "scale_down_pressure", 0.5);
-    a.upWindows = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_up_windows", 1.0));
-    a.downWindows = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_down_windows", 3.0));
-    a.cooldownCycles = cfg.getDouble(section, "scale_cooldown", 0.0);
-    a.minReplicas = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_min_replicas", 1.0));
-    a.maxReplicas = static_cast<std::uint32_t>(cfg.getDouble(
-        section, "scale_max_replicas",
-        static_cast<double>(a.minReplicas)));
-    a.scaleStep = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_step", 1.0));
-    if (cfg.has(section, "scale_brownout_floor")) {
-        a.brownout = true;
-        a.brownoutFloor = static_cast<std::uint32_t>(
-            cfg.getDouble(section, "scale_brownout_floor"));
+    a.brownout = cfg.read(section, "scale_brownout_floor", a.brownoutFloor);
+    if (a.brownout) {
+        cfg.read(section, "scale_brownout_tighten", a.brownoutTighten);
+        cfg.read(section, "scale_brownout_relax", a.brownoutRelax);
     }
-    a.brownoutTighten =
-        cfg.getDouble(section, "scale_brownout_tighten", 0.5);
-    a.brownoutRelax =
-        cfg.getDouble(section, "scale_brownout_relax", 2.0);
     a.validate();
     return a;
 }

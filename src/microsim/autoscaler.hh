@@ -106,14 +106,15 @@ struct AutoscalerConfig
  *     scale_down_windows = 3
  *     scale_cooldown = 0
  *     scale_min_replicas = 1
- *     scale_max_replicas = 4
+ *     scale_max_replicas = 4      ; absent = scale_min_replicas
  *     scale_step = 1
  *     scale_brownout_floor = 4    ; presence enables the brown-out gate
  *     scale_brownout_tighten = 0.5
  *     scale_brownout_relax = 2
  *
- * A section with none of these keys yields the default (disabled)
- * config.
+ * scale_slo_p99 .. scale_step are read only with scale_interval, and
+ * tighten/relax only with scale_brownout_floor. A section with none of
+ * these keys yields the default (disabled) config.
  *
  * @throws FatalError on malformed or out-of-domain values.
  */

@@ -21,6 +21,22 @@ BreakerConfig::validate() const
             "BreakerConfig.probeAfterCycles must be finite and >= 0");
 }
 
+BreakerConfig
+breakerFromConfig(const Config &cfg, const std::string &section,
+                  const std::string &prefix)
+{
+    BreakerConfig b;
+    b.enabled =
+        cfg.read(section, prefix + "breaker_open_threshold", b.openThreshold);
+    if (b.enabled) {
+        cfg.read(section, prefix + "breaker_window", b.window);
+        cfg.read(section, prefix + "breaker_min_samples", b.minSamples);
+        cfg.read(section, prefix + "breaker_probe_after",
+                 b.probeAfterCycles);
+    }
+    return b;
+}
+
 Breaker::Breaker(const BreakerConfig &cfg) : cfg_(cfg)
 {
     // A disabled breaker never records, so it never needs a window.

@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "config/config.hh"
 #include "sim/event_queue.hh"
 
 namespace accel::microsim {
@@ -38,6 +40,18 @@ struct BreakerConfig
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
 };
+
+/**
+ * Parse the `<prefix>breaker_*` keys of @p section (prefix "" for a
+ * service, `edge_<i>_` for an edge). Presence of
+ * breaker_open_threshold enables the breaker; breaker_window,
+ * breaker_min_samples and breaker_probe_after are read only then, so
+ * without it they are left for the section's unknown-key rejection.
+ * @throws FatalError naming the key and section on a malformed value.
+ */
+BreakerConfig breakerFromConfig(const Config &cfg,
+                                const std::string &section,
+                                const std::string &prefix);
 
 /** The BreakerConfig state machine. A disabled breaker always passes. */
 class Breaker

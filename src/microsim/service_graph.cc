@@ -296,26 +296,6 @@ ServiceGraph::hasInEdge(std::uint32_t node) const
                        });
 }
 
-namespace {
-
-/** Collect one throwing check as an error line (prefix stripped). */
-template <typename Fn>
-void
-collect(std::vector<std::string> &out, const std::string &where, Fn &&check)
-{
-    try {
-        check();
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        const std::string prefix = "fatal: ";
-        if (msg.rfind(prefix, 0) == 0)
-            msg.erase(0, prefix.size());
-        out.push_back(where + msg);
-    }
-}
-
-} // namespace
-
 std::vector<std::string>
 ServiceGraph::errors() const
 {
@@ -366,10 +346,10 @@ ServiceGraph::errors() const
                 out.push_back("duplicate shared tier name '" + def.name +
                               "'");
         }
-        collect(out, "shared tier '" + def.name + "': ",
-                [&def] { def.device.validate(); });
-        collect(out, "shared tier '" + def.name + "': ",
-                [&def] { def.config.validate(); });
+        collectFatal(out, "shared tier '" + def.name + "': ",
+                     [&def] { def.device.validate(); });
+        collectFatal(out, "shared tier '" + def.name + "': ",
+                     [&def] { def.config.validate(); });
         bool used = false;
         for (const ServiceSpec &spec : specs_) {
             if (spec.sharedTierName() != def.name)
@@ -403,17 +383,18 @@ ServiceGraph::errors() const
     }
 
     // Edges: valid shapes, known endpoints, no self-calls.
+    bool resolvable = true;
     for (const EdgeConfig &edge : edges_) {
         const std::string where =
             "edge " + edge.caller + " -> " + edge.callee + ": ";
-        collect(out, where, [&edge] { edge.validate(); });
+        collectFatal(out, where, [&edge] { edge.validate(); });
         bool endpoints = true;
         for (const std::string &end : {edge.caller, edge.callee}) {
-            bool found = false;
-            for (const ServiceSpec &spec : specs_) {
-                if (spec.name() == end)
-                    found = true;
-            }
+            bool found = std::any_of(specs_.begin(), specs_.end(),
+                                     [&end](const ServiceSpec &spec) {
+                                         return spec.name() == end;
+                                     });
+            resolvable = resolvable && found;
             if (!end.empty() && !found) {
                 out.push_back(where + "no service named '" + end + "'");
                 endpoints = false;
@@ -426,18 +407,6 @@ ServiceGraph::errors() const
 
     // The graph must be a DAG: a cycle would recurse forever (every
     // completion at a node on the cycle re-injects into the cycle).
-    bool resolvable = true;
-    for (const EdgeConfig &edge : edges_) {
-        for (const std::string &end : {edge.caller, edge.callee}) {
-            bool found = false;
-            for (const ServiceSpec &spec : specs_) {
-                if (spec.name() == end)
-                    found = true;
-            }
-            if (!found)
-                resolvable = false;
-        }
-    }
     if (resolvable && !specs_.empty()) {
         // Iterative DFS three-colouring over node indices.
         std::vector<std::vector<std::uint32_t>> adj(specs_.size());
@@ -1201,78 +1170,49 @@ edgeFromConfig(const Config &cfg, const std::string &section,
     EdgeConfig e;
     e.caller = cfg.getString(section, key("caller"));
     e.callee = cfg.getString(section, key("callee"));
-    e.fanout =
-        static_cast<std::uint32_t>(cfg.getCount(section, key("fanout"), 1));
-    e.style =
-        callStyleFromString(cfg.getString(section, key("style"), "sync"));
-    e.latencyCycles = cfg.getDouble(section, key("latency"), 0.0);
-    e.latencyJitterCycles = cfg.getDouble(section, key("jitter"), 0.0);
-    e.rpcTimeoutCycles = cfg.getDouble(section, key("timeout"), 0.0);
-    e.maxAttempts = static_cast<std::uint32_t>(
-        cfg.getCount(section, key("max_attempts"), 1));
-    e.retryBudget.ratio =
-        cfg.getDouble(section, key("retry_budget_ratio"), 0.1);
-    e.retryBudget.cap =
-        cfg.getDouble(section, key("retry_budget_cap"), 0.0);
-    e.budgetSplit = budgetSplitFromString(
-        cfg.getString(section, key("budget_split"), "even"));
-    e.budgetWeight = cfg.getDouble(section, key("budget_weight"), 0.5);
-    // Presence of the threshold enables the breaker. The dependent
-    // keys are only consumed when it is present, so a breaker_window
-    // without a threshold surfaces as an unknown key.
-    if (cfg.has(section, key("breaker_open_threshold"))) {
-        e.breaker.enabled = true;
-        e.breaker.openThreshold =
-            cfg.getDouble(section, key("breaker_open_threshold"));
-        e.breaker.window = static_cast<std::uint32_t>(cfg.getCount(
-            section, key("breaker_window"), e.breaker.window));
-        e.breaker.minSamples = static_cast<std::uint32_t>(cfg.getCount(
-            section, key("breaker_min_samples"), e.breaker.minSamples));
-        e.breaker.probeAfterCycles = cfg.getDouble(
-            section, key("breaker_probe_after"),
-            e.breaker.probeAfterCycles);
-    }
-    // Any fault key enables the plan. No short-circuit: every key must
-    // be probed so unusedKeys() sees them all.
-    bool f_seed = cfg.has(section, key("fault_seed"));
-    bool f_drop = cfg.has(section, key("fault_drop_p"));
-    bool f_spike = cfg.has(section, key("fault_spike_p"));
-    bool f_spike_cycles = cfg.has(section, key("fault_spike_cycles"));
-    bool f_spike_windows = cfg.has(section, key("fault_spike_windows"));
-    bool f_blackholes = cfg.has(section, key("fault_blackholes"));
-    if (f_seed || f_drop || f_spike || f_spike_cycles || f_spike_windows ||
-        f_blackholes) {
-        auto plan = std::make_shared<faults::EdgeFaultPlan>();
-        plan->seed = cfg.getCount(section, key("fault_seed"), 1);
-        plan->dropProbability =
-            cfg.getDouble(section, key("fault_drop_p"), 0.0);
-        plan->spikeProbability =
-            cfg.getDouble(section, key("fault_spike_p"), 0.0);
-        plan->spikeLatencyCycles =
-            cfg.getDouble(section, key("fault_spike_cycles"), 0.0);
-        if (f_spike_windows)
-            plan->spikeWindows = model::windowsFromConfig(
-                cfg, section, key("fault_spike_windows"));
-        if (f_blackholes)
-            plan->blackholes = model::windowsFromConfig(
-                cfg, section, key("fault_blackholes"));
-        e.faultPlan = std::move(plan);
-    }
+    cfg.read(section, key("fanout"), e.fanout);
+    cfg.read(section, key("style"), e.style, callStyleFromString);
+    cfg.read(section, key("latency"), e.latencyCycles);
+    cfg.read(section, key("jitter"), e.latencyJitterCycles);
+    cfg.read(section, key("timeout"), e.rpcTimeoutCycles);
+    cfg.read(section, key("max_attempts"), e.maxAttempts);
+    cfg.read(section, key("retry_budget_ratio"), e.retryBudget.ratio);
+    cfg.read(section, key("retry_budget_cap"), e.retryBudget.cap);
+    cfg.read(section, key("budget_split"), e.budgetSplit,
+             budgetSplitFromString);
+    cfg.read(section, key("budget_weight"), e.budgetWeight);
+    e.breaker = breakerFromConfig(cfg, section, prefix);
+    // Any fault key enables the plan (|= still reads every key).
+    faults::EdgeFaultPlan plan;
+    bool any = cfg.read(section, key("fault_seed"), plan.seed);
+    any |= cfg.read(section, key("fault_drop_p"), plan.dropProbability);
+    any |= cfg.read(section, key("fault_spike_p"), plan.spikeProbability);
+    any |= cfg.read(section, key("fault_spike_cycles"),
+                    plan.spikeLatencyCycles);
+    any |= cfg.read(section, key("fault_spike_windows"), plan.spikeWindows,
+                    model::windowsFromString);
+    any |= cfg.read(section, key("fault_blackholes"), plan.blackholes,
+                    model::windowsFromString);
+    if (any)
+        e.faultPlan =
+            std::make_shared<const faults::EdgeFaultPlan>(std::move(plan));
     return e;
 }
 
 ServiceGraph
 serviceGraphFromConfig(const Config &cfg, const std::string &graphSection)
 {
-    ServiceGraph g(cfg.getCount(graphSection, "seed", 1));
-    g.rootDeadline(
-        cfg.getDouble(graphSection, "root_deadline_cycles", 0.0));
+    std::uint64_t seed = 1;
+    cfg.read(graphSection, "seed", seed);
+    ServiceGraph g(seed);
+    if (double d = 0.0; cfg.read(graphSection, "root_deadline_cycles", d))
+        g.rootDeadline(d);
     for (const std::string &entry :
          split(cfg.getString(graphSection, "services"), ',')) {
         std::string name = trim(entry);
         if (name.empty())
-            fatal("config key 'services' in [" + graphSection +
-                  "]: empty service section name");
+            fatal(Config::keyName(graphSection, "services") +
+                  ": empty service section name");
         g.addService(ServiceSpec::fromConfig(cfg, name));
     }
     for (std::size_t i = 0;; ++i) {
@@ -1281,16 +1221,8 @@ serviceGraphFromConfig(const Config &cfg, const std::string &graphSection)
             break;
         g.addEdge(edgeFromConfig(cfg, graphSection, prefix));
     }
-    std::vector<std::string> unknown = cfg.unusedKeys(graphSection);
-    if (!unknown.empty()) {
-        std::string msg = "serviceGraphFromConfig: unknown key" +
-            std::string(unknown.size() == 1 ? "" : "s") + " in [" +
-            graphSection + "]:";
-        for (const std::string &k : unknown)
-            msg += " '" + k + "'";
-        msg += " (edges must be numbered contiguously from edge_0_)";
-        fatal(msg);
-    }
+    cfg.rejectUnknownKeys(
+        graphSection, " (edges must be numbered contiguously from edge_0_)");
     return g;
 }
 

@@ -162,12 +162,13 @@ struct EdgeConfig
  * config convention uses `edge_<i>_` prefixes): caller, callee,
  * fanout, style, latency, jitter, timeout, max_attempts,
  * retry_budget_ratio, retry_budget_cap, budget_split, budget_weight,
- * breaker_{open_threshold,window,min_samples,probe_after} (presence
- * of breaker_open_threshold enables), and
+ * breaker_{open_threshold,window,min_samples,probe_after} (see
+ * breakerFromConfig: the last three are read only with the
+ * threshold), and
  * fault_{seed,drop_p,spike_p,spike_cycles,spike_windows,blackholes}
  * (presence of any enables; window lists = "begin:end,begin:end" in
  * ticks).
- * @throws FatalError on malformed values (names the key).
+ * @throws FatalError on malformed values (names the key and section).
  */
 EdgeConfig edgeFromConfig(const Config &cfg, const std::string &section,
                           const std::string &prefix);

@@ -124,14 +124,16 @@ class ServiceSpec
      *     seed = 1
      *     shared_tier = infer         ; graph-owned tier name
      *
-     *     ; --- retry / breaker (presence of retry_timeout enables) ---
+     *     ; --- retry group: read only when retry_timeout is set ---
      *     retry_timeout = 2000
      *     retry_max_attempts = 2
      *     retry_backoff_base = 500
      *     retry_backoff_factor = 2
      *     retry_backoff_cap = 2000
      *     retry_host_fallback = true
-     *     breaker_open_threshold = 0.5 ; presence enables the breaker
+     *     ; --- breaker group (breakerFromConfig): read only when
+     *     ;     breaker_open_threshold is set ---
+     *     breaker_open_threshold = 0.5
      *     breaker_window = 32
      *     breaker_min_samples = 8
      *     breaker_probe_after = 1e6
@@ -151,20 +153,21 @@ class ServiceSpec
      *     work_beta = 1.0
      *
      * plus the established composite parsers applied to the same
-     * section: tierFromConfig (tier_*, fault_r<k>_*),
-     * model::faultPlanFromConfig (fault_* → device fault plan),
-     * arrivalProgramFromConfig (arrival_*), and autoscalerFromConfig
-     * (scale_*). The section name becomes the spec name.
+     * section: tierFromConfig (tier_*, fault_r<k>_*; the
+     * tier_health_timeout group), model::faultPlanFromConfig (fault_*
+     * → device fault plan), arrivalProgramFromConfig (arrival_*), and
+     * autoscalerFromConfig (scale_*; the scale_interval and
+     * scale_brownout_floor groups). The section name becomes the spec
+     * name.
      *
-     * Keys in @p section that none of the parsers recognise are
-     * rejected with an error naming each offender (via
-     * Config::unusedKeys), so a typo like `tier_hege_delay` fails
-     * loudly instead of silently keeping the default.
+     * Keys that none of the parsers read — a typo like
+     * `tier_hege_delay`, or a group key without its enabling key — are
+     * rejected by name (Config::rejectUnknownKeys).
      *
-     * @throws FatalError on malformed values (the composite parsers
-     *         throw their usual field-named errors) and on unknown
-     *         keys; domain errors are reported by validate()/errors()
-     *         so a caller can collect them across many sections.
+     * @throws FatalError on unknown keys and on malformed values (the
+     *         error names the key and [section]); domain errors are
+     *         reported by validate()/errors() so a caller can collect
+     *         them across many sections.
      */
     static ServiceSpec fromConfig(const Config &cfg,
                                   const std::string &section);

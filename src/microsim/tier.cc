@@ -1,7 +1,9 @@
 #include "microsim/tier.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -40,13 +42,13 @@ toString(DispatchPolicy policy)
 DispatchPolicy
 dispatchPolicyFromString(const std::string &name)
 {
-    if (name == "round-robin" || name == "rr")
+    if (name == "round-robin")
         return DispatchPolicy::RoundRobin;
-    if (name == "least-outstanding" || name == "lo")
+    if (name == "least-outstanding")
         return DispatchPolicy::LeastOutstanding;
-    if (name == "p2c" || name == "power-of-two")
+    if (name == "p2c")
         return DispatchPolicy::PowerOfTwoChoices;
-    fatal("tier_policy: unknown dispatch policy '" + name +
+    fatal("unknown dispatch policy '" + name +
           "' (want round-robin, least-outstanding, or p2c)");
 }
 
@@ -79,8 +81,6 @@ TierConfig::validate() const
             "TierConfig.healthTimeoutCycles must be finite and >= 0");
     require(ejectAfterFailures >= 1,
             "TierConfig.ejectAfterFailures must be >= 1");
-    require(ejectAfterFailures <= healthWindow,
-            "TierConfig.ejectAfterFailures must be <= healthWindow");
     require(std::isfinite(readmitAfterCycles) && readmitAfterCycles > 0.0,
             "TierConfig.readmitAfterCycles must be finite and > 0");
     require(hedge.enabled ? replicas >= 2 : true,
@@ -98,44 +98,48 @@ TierConfig
 tierFromConfig(const Config &cfg, const std::string &section)
 {
     TierConfig tier;
-    tier.replicas = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_replicas", 1.0));
-    tier.policy = dispatchPolicyFromString(
-        cfg.getString(section, "tier_policy", "round-robin"));
-    if (cfg.has(section, "tier_hedge_delay")) {
-        tier.hedge.enabled = true;
-        tier.hedge.delayCycles =
-            cfg.getDouble(section, "tier_hedge_delay");
+    cfg.read(section, "tier_replicas", tier.replicas);
+    cfg.read(section, "tier_policy", tier.policy, dispatchPolicyFromString);
+    tier.hedge.enabled =
+        cfg.read(section, "tier_hedge_delay", tier.hedge.delayCycles);
+    // The health keys only matter once the watchdog exists.
+    if (cfg.read(section, "tier_health_timeout", tier.healthTimeoutCycles)) {
+        cfg.read(section, "tier_eject_after", tier.ejectAfterFailures);
+        cfg.read(section, "tier_readmit_after", tier.readmitAfterCycles);
+        cfg.read(section, "tier_max_failovers", tier.maxFailovers);
     }
-    if (cfg.has(section, "tier_health_timeout")) {
-        tier.healthTimeoutCycles =
-            cfg.getDouble(section, "tier_health_timeout");
-    }
-    tier.ejectAfterFailures = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_eject_after", 3.0));
-    tier.healthWindow = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_health_window", 16.0));
-    tier.readmitAfterCycles =
-        cfg.getDouble(section, "tier_readmit_after", 1e6);
-    tier.maxFailovers = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_max_failovers", 3.0));
-    tier.seed = static_cast<std::uint64_t>(
-        cfg.getDouble(section, "tier_seed", 1.0));
+    cfg.read(section, "tier_seed", tier.seed);
 
-    // Per-replica fault plans: fault_r<k>_* keys, parsed by the same
-    // front end as device-level fault_* keys. Only materialise the
-    // vector when at least one replica has a plan, so a plan-free
-    // section stays the exact default TierConfig.
-    std::vector<std::shared_ptr<const faults::FaultPlan>> plans;
-    bool anyPlan = false;
-    for (std::uint32_t r = 0; r < tier.replicas; ++r) {
-        auto plan = model::faultPlanFromConfig(
-            cfg, section, "fault_r" + std::to_string(r) + "_");
-        anyPlan = anyPlan || plan != nullptr;
-        plans.push_back(std::move(plan));
+    // Per-replica fault plans: each fault_r<k>_* key present names a
+    // replica k whose plan parses like the device-level fault_* keys.
+    // The vector only materialises when some replica has a plan, so a
+    // plan-free section stays the exact default TierConfig.
+    const std::string prefix = "fault_r";
+    std::set<std::uint32_t> planned;
+    for (const std::string &key : cfg.keys(section)) {
+        std::size_t end = key.find('_', prefix.size());
+        if (key.rfind(prefix, 0) != 0 || end == std::string::npos)
+            continue;
+        std::string digits = key.substr(prefix.size(), end - prefix.size());
+        std::uint32_t r = 0;
+        auto parsed =
+            std::from_chars(digits.data(), digits.data() + digits.size(), r);
+        if (parsed.ec != std::errc() || std::to_string(r) != digits)
+            continue; // not a replica index: left for unknown-key rejection
+        require(r < tier.replicas,
+                Config::keyName(section, key) + ": no replica " + digits +
+                    " with tier_replicas = " +
+                    std::to_string(tier.replicas));
+        planned.insert(r);
     }
-    if (anyPlan)
-        tier.replicaFaultPlans = std::move(plans);
+    for (std::uint32_t r : planned) {
+        auto plan = model::faultPlanFromConfig(
+            cfg, section, prefix + std::to_string(r) + "_");
+        if (!plan)
+            continue; // no recognised key: left for unknown-key rejection
+        tier.replicaFaultPlans.resize(tier.replicas);
+        tier.replicaFaultPlans[r] = std::move(plan);
+    }
 
     tier.validate();
     return tier;
@@ -736,8 +740,7 @@ AcceleratorTier::recordFailure(size_t replica)
     }
     if (h.state == ReplicaState::Ejected)
         return; // already out; nothing new to decide
-    h.consecutiveFailures =
-        std::min(h.consecutiveFailures + 1, cfg_.healthWindow);
+    ++h.consecutiveFailures;
     if (h.consecutiveFailures >= cfg_.ejectAfterFailures)
         ejectReplica(replica);
 }

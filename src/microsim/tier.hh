@@ -107,13 +107,6 @@ struct TierConfig
     /** Consecutive watchdog failures that eject a replica. */
     std::uint32_t ejectAfterFailures = 3;
 
-    /**
-     * Recent per-replica outcomes tracked for the failure-fraction
-     * stat; the consecutive-failure run must fit inside it
-     * (ejectAfterFailures <= healthWindow).
-     */
-    std::uint32_t healthWindow = 16;
-
     /** Ejection -> readmission-probe delay in cycles. */
     double readmitAfterCycles = 1e6;
 
@@ -151,9 +144,8 @@ struct TierConfig
  *     tier_policy = round-robin         ; least-outstanding | p2c
  *     tier_hedge_delay = 5000           ; presence enables hedging
  *     tier_health_timeout = 20000       ; presence enables health/failover
- *     tier_eject_after = 3
- *     tier_health_window = 16
- *     tier_readmit_after = 1e6
+ *     tier_eject_after = 3              ; these three are read only
+ *     tier_readmit_after = 1e6          ;   with tier_health_timeout
  *     tier_max_failovers = 3
  *     tier_seed = 7
  *
@@ -163,7 +155,8 @@ struct TierConfig
  * healthy. A section with none of these keys yields the default
  * (trivial) TierConfig.
  *
- * @throws FatalError on malformed or out-of-domain values.
+ * @throws FatalError on malformed or out-of-domain values, and on a
+ *         `fault_r<k>_*` key with k >= tier_replicas.
  */
 TierConfig tierFromConfig(const Config &cfg,
                           const std::string &section);

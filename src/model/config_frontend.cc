@@ -9,21 +9,6 @@
 
 namespace accel::model {
 
-namespace {
-
-/** parseCount on @p text; an error names the config @p key. */
-std::uint64_t
-countForKey(const std::string &key, const std::string &text)
-{
-    try {
-        return parseCount(trim(text));
-    } catch (const FatalError &err) {
-        fatal("config key '" + key + "': " + err.what());
-    }
-}
-
-} // namespace
-
 BucketDist
 granularityFromConfig(const std::string &literal)
 {
@@ -50,14 +35,13 @@ paramsFromConfig(const Config &cfg, const std::string &section)
     Params p;
     p.hostCycles = cfg.getDouble(section, "C");
     p.alpha = cfg.getDouble(section, "alpha");
-    p.setupCycles = cfg.getDouble(section, "o0", 0.0);
-    p.queueCycles = cfg.getDouble(section, "Q", 0.0);
-    p.interfaceCycles = cfg.getDouble(section, "L", 0.0);
-    p.threadSwitchCycles = cfg.getDouble(section, "o1", 0.0);
-    p.accelFactor = cfg.getDouble(section, "A", 1.0);
-    p.offloadedFraction = cfg.getDouble(section, "offloaded_fraction", 1.0);
-    p.strategy =
-        strategyFromString(cfg.getString(section, "strategy", "off-chip"));
+    cfg.read(section, "o0", p.setupCycles);
+    cfg.read(section, "Q", p.queueCycles);
+    cfg.read(section, "L", p.interfaceCycles);
+    cfg.read(section, "o1", p.threadSwitchCycles);
+    cfg.read(section, "A", p.accelFactor);
+    cfg.read(section, "offloaded_fraction", p.offloadedFraction);
+    cfg.read(section, "strategy", p.strategy, strategyFromString);
 
     if (cfg.has(section, "granularity_cdf")) {
         // Planner mode: derive n and the offloaded fraction from the
@@ -66,11 +50,11 @@ paramsFromConfig(const Config &cfg, const std::string &section)
                 "config: give either n or a granularity_cdf, not both");
         BucketDist sizes = granularityFromConfig(
             cfg.getString(section, "granularity_cdf"));
-        OffloadProfit profit{cfg.getDouble(section, "cb"),
-                             cfg.getDouble(section, "beta", 1.0)};
+        OffloadProfit profit{cfg.getDouble(section, "cb")};
+        cfg.read(section, "beta", profit.beta);
         double n_total = cfg.getDouble(section, "n_total");
-        std::string weighting =
-            toLower(cfg.getString(section, "weighting", "count"));
+        std::string weighting = "count";
+        cfg.read(section, "weighting", weighting, toLower);
         require(weighting == "count" || weighting == "bytes",
                 "config: weighting must be 'count' or 'bytes'");
         auto plan = planOffloads(
@@ -89,7 +73,9 @@ paramsFromConfig(const Config &cfg, const std::string &section)
 ThreadingDesign
 threadingFromConfig(const Config &cfg, const std::string &section)
 {
-    return threadingFromString(cfg.getString(section, "threading", "sync"));
+    ThreadingDesign design = ThreadingDesign::Sync;
+    cfg.read(section, "threading", design, threadingFromString);
+    return design;
 }
 
 std::shared_ptr<const faults::FaultPlan>
@@ -102,55 +88,36 @@ std::shared_ptr<const faults::FaultPlan>
 faultPlanFromConfig(const Config &cfg, const std::string &section,
                     const std::string &prefix)
 {
-    static const char *kKeys[] = {
-        "seed",    "drop_p",       "late_p",
-        "late_cycles", "spike_p",  "spike_factor",
-        "stalls",  "fail_at",      "recover_at",
-    };
-    bool any = false;
-    for (const char *key : kKeys)
-        any = any || cfg.has(section, prefix + key);
+    // Any key enables the plan (|= still reads every key).
+    faults::FaultPlan plan;
+    bool any = cfg.read(section, prefix + "seed", plan.seed);
+    any |= cfg.read(section, prefix + "drop_p", plan.dropProbability);
+    any |= cfg.read(section, prefix + "late_p", plan.lateProbability);
+    any |= cfg.read(section, prefix + "late_cycles", plan.lateDelayCycles);
+    any |= cfg.read(section, prefix + "spike_p",
+                    plan.transferSpikeProbability);
+    any |= cfg.read(section, prefix + "spike_factor",
+                    plan.transferSpikeFactor);
+    any |= cfg.read(section, prefix + "stalls", plan.stallWindows,
+                    windowsFromString);
+    any |= cfg.read(section, prefix + "fail_at", plan.deviceFailAtTick);
+    any |= cfg.read(section, prefix + "recover_at",
+                    plan.deviceRecoverAtTick);
     if (!any)
         return nullptr;
-
-    auto count = [&](const char *name, std::uint64_t fallback) {
-        std::string key = prefix + name;
-        return cfg.has(section, key)
-                   ? countForKey(key, cfg.getString(section, key))
-                   : fallback;
-    };
-    faults::FaultPlan plan;
-    plan.seed = count("seed", 1);
-    plan.dropProbability = cfg.getDouble(section, prefix + "drop_p", 0.0);
-    plan.lateProbability = cfg.getDouble(section, prefix + "late_p", 0.0);
-    plan.lateDelayCycles =
-        cfg.getDouble(section, prefix + "late_cycles", 0.0);
-    plan.transferSpikeProbability =
-        cfg.getDouble(section, prefix + "spike_p", 0.0);
-    plan.transferSpikeFactor =
-        cfg.getDouble(section, prefix + "spike_factor", 1.0);
-    if (cfg.has(section, prefix + "stalls"))
-        plan.stallWindows =
-            windowsFromConfig(cfg, section, prefix + "stalls");
-    plan.deviceFailAtTick = count("fail_at", faults::kNeverTick);
-    plan.deviceRecoverAtTick = count("recover_at", faults::kNeverTick);
     plan.validate();
     return std::make_shared<const faults::FaultPlan>(std::move(plan));
 }
 
 std::vector<faults::StallWindow>
-windowsFromConfig(const Config &cfg, const std::string &section,
-                  const std::string &key)
+windowsFromString(const std::string &text)
 {
     std::vector<faults::StallWindow> windows;
-    for (const std::string &w : split(cfg.getString(section, key), ',')) {
+    for (const std::string &w : split(text, ',')) {
         std::vector<std::string> ends = split(w, ':');
-        if (ends.size() != 2)
-            fatal("config key '" + key +
-                  "': want begin:end[,begin:end] in ticks, got '" + w +
-                  "'");
-        windows.push_back(
-            {countForKey(key, ends[0]), countForKey(key, ends[1])});
+        require(ends.size() == 2,
+                "want begin:end[,begin:end] in ticks, got '" + w + "'");
+        windows.push_back({parseCount(ends[0]), parseCount(ends[1])});
     }
     return windows;
 }

@@ -92,7 +92,7 @@ ThreadingDesign threadingFromConfig(const Config &cfg,
  *     fault_recover_at = 3.5e8     ; optional recovery tick
  *
  * The seed and every tick must be a non-negative integer (scientific
- * notation allowed); the window list follows windowsFromConfig.
+ * notation allowed); the window list follows windowsFromString.
  *
  * @throws FatalError on malformed windows or out-of-domain values;
  *         a parse error names its key.
@@ -110,17 +110,15 @@ faultPlanFromConfig(const Config &cfg, const std::string &section,
                     const std::string &prefix);
 
 /**
- * Parse @p key of @p section as a `begin:end[,begin:end]` list of
- * half-open tick windows — the one window syntax shared by
- * `fault_stalls` and the edge keys `edge_<i>_fault_spike_windows` /
- * `edge_<i>_fault_blackholes`. Each tick parses as a count (a
- * non-negative integer, scientific notation allowed).
+ * Parse a `begin:end[,begin:end]` list of half-open tick windows — the
+ * one window syntax shared by `fault_stalls` and the edge keys
+ * `edge_<i>_fault_spike_windows` / `edge_<i>_fault_blackholes`, read
+ * through Config::read so errors name the key. Each tick parses as a
+ * count (a non-negative integer, scientific notation allowed).
  *
- * @throws FatalError naming @p key on a malformed entry or tick.
+ * @throws FatalError on a malformed entry or tick.
  */
-std::vector<faults::StallWindow>
-windowsFromConfig(const Config &cfg, const std::string &section,
-                  const std::string &key);
+std::vector<faults::StallWindow> windowsFromString(const std::string &text);
 
 /** Parse every section of a config into cases, preserving order. */
 std::vector<ConfigCase> casesFromConfig(const Config &cfg);

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace accel {
 
@@ -25,6 +26,12 @@ class FatalError : public std::runtime_error
     explicit FatalError(const std::string &msg)
         : std::runtime_error("fatal: " + msg)
     {}
+
+    /** The message given to fatal(), without the "fatal: " prefix. */
+    std::string reason() const
+    {
+        return std::string(what()).substr(sizeof("fatal: ") - 1);
+    }
 };
 
 /** Error raised by panic(): an internal invariant was violated. */
@@ -90,6 +97,22 @@ require(bool ok, const std::string &msg)
 {
     if (!ok) [[unlikely]]
         fatal(msg);
+}
+
+/**
+ * Run @p check; a FatalError it raises is appended to @p out as
+ * @p where + reason instead of propagating (for errors() collectors).
+ */
+template <typename Fn>
+void
+collectFatal(std::vector<std::string> &out, const std::string &where,
+             Fn &&check)
+{
+    try {
+        check();
+    } catch (const FatalError &e) {
+        out.push_back(where + e.reason());
+    }
 }
 
 /** Check an internal invariant, raising PanicError on failure. */

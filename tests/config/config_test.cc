@@ -57,11 +57,20 @@ TEST(Config, MissingKeyThrows)
 
 TEST(Config, DefaultsReturned)
 {
+    // An absent key leaves the field, and so its default, untouched.
     Config cfg = Config::fromString("[s]\na = 1\n");
-    EXPECT_DOUBLE_EQ(cfg.getDouble("s", "missing", 3.5), 3.5);
-    EXPECT_EQ(cfg.getString("s", "missing", "dflt"), "dflt");
-    EXPECT_EQ(cfg.getCount("s", "missing", 9u), 9u);
-    EXPECT_TRUE(cfg.getBool("s", "missing", true));
+    double d = 3.5;
+    std::string str = "dflt";
+    std::uint64_t n = 9;
+    bool b = true;
+    EXPECT_FALSE(cfg.read("s", "missing", d));
+    EXPECT_FALSE(cfg.read("s", "missing", str));
+    EXPECT_FALSE(cfg.read("s", "missing", n));
+    EXPECT_FALSE(cfg.read("s", "missing", b));
+    EXPECT_DOUBLE_EQ(d, 3.5);
+    EXPECT_EQ(str, "dflt");
+    EXPECT_EQ(n, 9u);
+    EXPECT_TRUE(b);
 }
 
 TEST(Config, BooleanValues)
@@ -155,7 +164,8 @@ TEST(Config, UnusedKeysIgnoresProbesForAbsentKeys)
     Config cfg = Config::fromString("[s]\na = 1\n");
     // Probing a key that is not there must not mark anything.
     EXPECT_FALSE(cfg.has("s", "zzz"));
-    cfg.getCount("s", "zzz", 7u);
+    std::uint64_t field = 7;
+    cfg.read("s", "zzz", field);
     auto unused = cfg.unusedKeys("s");
     ASSERT_EQ(unused.size(), 1u);
     EXPECT_EQ(unused[0], "a");
@@ -178,6 +188,54 @@ TEST(Config, FromStringStartsWithNoAccesses)
     Config cfg = Config::fromString("[s]\na = 1\na = 2\nb = 3\n");
     setLogLevel(prev);
     EXPECT_EQ(cfg.unusedKeys("s").size(), 2u);
+}
+
+TEST(Config, ReadParsesEachFieldType)
+{
+    Config cfg = Config::fromString(
+        "[s]\nd = 2.5\nn = 4294967295\nw = 1e12\nb = off\nt = x y\n");
+    double d = 1.0;
+    std::uint32_t n = 3;
+    std::uint64_t w = 9;
+    bool b = true;
+    std::string t;
+    EXPECT_TRUE(cfg.read("s", "d", d));
+    EXPECT_DOUBLE_EQ(d, 2.5);
+    EXPECT_TRUE(cfg.read("s", "n", n));
+    EXPECT_EQ(n, 4294967295u);
+    EXPECT_TRUE(cfg.read("s", "w", w));
+    EXPECT_EQ(w, 1000000000000u);
+    EXPECT_TRUE(cfg.read("s", "b", b));
+    EXPECT_FALSE(b);
+    EXPECT_TRUE(cfg.read("s", "t", t));
+    EXPECT_EQ(t, "x y");
+}
+
+TEST(Config, ReadRangeChecksAndNamesKeyAndSection)
+{
+    Config cfg = Config::fromString(
+        "[s]\nbig = 4294967296\nfrac = 2.5\nneg = -1\nword = fast\n");
+    for (const char *key : {"big", "frac", "neg", "word"}) {
+        std::uint32_t field = 5;
+        try {
+            cfg.read("s", key, field);
+            ADD_FAILURE() << key << " accepted as " << field;
+        } catch (const FatalError &err) {
+            std::string msg = err.what();
+            EXPECT_NE(msg.find("'" + std::string(key) + "'"),
+                      std::string::npos) << msg;
+            EXPECT_NE(msg.find("[s]"), std::string::npos) << msg;
+        }
+        EXPECT_EQ(field, 5u);
+    }
+    EXPECT_THROW(cfg.getCount("s", "neg"), FatalError);
+    try {
+        cfg.getDouble("s", "word");
+        ADD_FAILURE() << "malformed double accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("'word' in [s]"),
+                  std::string::npos) << err.what();
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "config/config.hh"
+#include "microsim/service_graph.hh"
 #include "microsim/service_sim.hh"
 #include "microsim/service_spec.hh"
 #include "util/logging.hh"
@@ -270,6 +271,67 @@ TEST(ServiceSpec, FromConfigListsEveryUnknownKey)
         EXPECT_NE(msg.find("first_typo"), std::string::npos);
         EXPECT_NE(msg.find("second_typo"), std::string::npos);
     }
+}
+
+/**
+ * Parsing @p text with @p parse must fail, naming config key @p key and
+ * [@p section].
+ */
+template <typename Parse>
+void
+expectRejectedNaming(const std::string &text, const std::string &key,
+                     const std::string &section, Parse &&parse)
+{
+    Config cfg = Config::fromString(text);
+    try {
+        parse(cfg);
+        ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const FatalError &err) {
+        std::string msg = err.what();
+        EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("[" + section + "]"), std::string::npos) << msg;
+    }
+}
+
+TEST(ServiceSpec, FromConfigRejectsMisreadValuesNamingKeyAndSection)
+{
+    // Values a parser could truncate, wrap or ignore: fractional,
+    // negative and out-of-range counts and malformed scalars.
+    const std::pair<const char *, const char *> serviceRows[] = {
+        {"tier_replicas = 2.5", "tier_replicas"},
+        {"tier_replicas = 4294967297", "tier_replicas"},
+        {"tier_replicas = -1", "tier_replicas"},
+        {"tier_health_timeout = 1000\ntier_eject_after = 2.9",
+         "tier_eject_after"},
+        {"tier_seed = -3", "tier_seed"},
+        {"cores = 4294967297", "cores"},
+        {"cores = -1", "cores"},
+        {"clock_ghz = fast", "clock_ghz"},
+        {"accelerated = maybe", "accelerated"},
+        {"scale_interval = 1e6\nscale_slo_p99 = 1e5\n"
+         "scale_min_replicas = 1.7",
+         "scale_min_replicas"},
+        // A group's dependent key without its enabling key.
+        {"breaker_window = 16", "breaker_window"},
+        {"scale_up_pressure = 0.7", "scale_up_pressure"},
+        // A per-replica plan for a replica the tier does not have.
+        {"tier_replicas = 2\nfault_r5_drop_p = 0.5", "fault_r5_drop_p"},
+    };
+    for (const auto &[lines, key] : serviceRows) {
+        expectRejectedNaming(
+            "[svc]\n" + std::string(lines) + "\n", key, "svc",
+            [](const Config &cfg) { ServiceSpec::fromConfig(cfg, "svc"); });
+    }
+
+    auto graph = [](const Config &cfg) { serviceGraphFromConfig(cfg); };
+    expectRejectedNaming("[graph]\n"
+                         "services = a, b\n"
+                         "edge_0_caller = a\n"
+                         "edge_0_callee = b\n"
+                         "edge_0_fanout = 4294967298\n",
+                         "edge_0_fanout", "graph", graph);
+    expectRejectedNaming("[graph]\nservices = a\n[a]\ncores = -1\n",
+                         "cores", "a", graph);
 }
 
 } // namespace
