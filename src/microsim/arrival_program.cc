@@ -337,16 +337,20 @@ arrivalProgramFromConfig(const Config &cfg, const std::string &section)
         }
     } else {
         require(program.periodSeconds == 0.0,
-                "arrival_period: set without arrival_trace");
-        require(!shaped, "arrival_shape: set without arrival_trace");
+                Config::keyName(section, "arrival_period") +
+                    ": set without arrival_trace");
+        require(!shaped, Config::keyName(section, "arrival_shape") +
+                             ": set without arrival_trace");
     }
 
     if (cfg.has(section, "arrival_flash_at")) {
         require(!program.segments.empty(),
-                "arrival_flash_at: set without arrival_trace");
+                Config::keyName(section, "arrival_flash_at") +
+                    ": set without arrival_trace");
         require(program.periodSeconds == 0.0,
-                "arrival_flash_at: a flash crowd on a periodic trace "
-                "is unsupported; unroll the trace instead");
+                Config::keyName(section, "arrival_flash_at") +
+                    ": a flash crowd on a periodic trace is unsupported; "
+                    "unroll the trace instead");
         double ramp = 0.0;
         double hold = 0.0;
         cfg.read(section, "arrival_flash_ramp", ramp);

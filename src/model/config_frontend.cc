@@ -1,5 +1,6 @@
 #include "model/config_frontend.hh"
 
+#include <optional>
 #include <sstream>
 
 #include "model/granularity.hh"
@@ -8,6 +9,20 @@
 #include "util/string_utils.hh"
 
 namespace accel::model {
+
+namespace {
+
+AlphaWeighting
+weightingFromString(const std::string &text)
+{
+    std::string t = toLower(text);
+    require(t == "count" || t == "bytes",
+            "want 'count' or 'bytes', got '" + text + "'");
+    return t == "count" ? AlphaWeighting::CountWeighted
+                        : AlphaWeighting::BytesWeighted;
+}
+
+} // namespace
 
 BucketDist
 granularityFromConfig(const std::string &literal)
@@ -19,13 +34,12 @@ granularityFromConfig(const std::string &literal)
             continue;
         auto fields = split(triple, ':');
         require(fields.size() == 3,
-                "granularity_cdf: expected lo:hi:mass, got '" + triple +
-                    "'");
+                "expected lo:hi:mass, got '" + triple + "'");
         buckets.push_back({parseDouble(fields[0]),
                            parseDouble(fields[1]),
                            parseDouble(fields[2])});
     }
-    require(!buckets.empty(), "granularity_cdf: no buckets");
+    require(!buckets.empty(), "no buckets");
     return BucketDist(std::move(buckets));
 }
 
@@ -43,25 +57,21 @@ paramsFromConfig(const Config &cfg, const std::string &section)
     cfg.read(section, "offloaded_fraction", p.offloadedFraction);
     cfg.read(section, "strategy", p.strategy, strategyFromString);
 
-    if (cfg.has(section, "granularity_cdf")) {
+    std::optional<BucketDist> sizes;
+    if (cfg.read(section, "granularity_cdf", sizes, granularityFromConfig)) {
         // Planner mode: derive n and the offloaded fraction from the
         // kernel's size distribution and per-byte cost.
         require(!cfg.has(section, "n"),
-                "config: give either n or a granularity_cdf, not both");
-        BucketDist sizes = granularityFromConfig(
-            cfg.getString(section, "granularity_cdf"));
+                Config::keyName(section, "n") +
+                    ": give either n or a granularity_cdf, not both");
         OffloadProfit profit{cfg.getDouble(section, "cb")};
         cfg.read(section, "beta", profit.beta);
         double n_total = cfg.getDouble(section, "n_total");
-        std::string weighting = "count";
-        cfg.read(section, "weighting", weighting, toLower);
-        require(weighting == "count" || weighting == "bytes",
-                "config: weighting must be 'count' or 'bytes'");
-        auto plan = planOffloads(
-            sizes, n_total, p.alpha, profit,
-            threadingFromConfig(cfg, section), p,
-            weighting == "count" ? AlphaWeighting::CountWeighted
-                                 : AlphaWeighting::BytesWeighted);
+        AlphaWeighting weighting = AlphaWeighting::CountWeighted;
+        cfg.read(section, "weighting", weighting, weightingFromString);
+        auto plan = planOffloads(*sizes, n_total, p.alpha, profit,
+                                 threadingFromConfig(cfg, section), p,
+                                 weighting);
         p = applyPlan(p, p.alpha, plan);
     } else {
         p.offloads = cfg.getDouble(section, "n");

@@ -32,12 +32,36 @@ originOf(Functionality f)
 
 } // namespace
 
+const Aggregator::SymbolTags &
+Aggregator::tagsOf(const std::string &name)
+{
+    auto it = symbols_.find(name);
+    if (it == symbols_.end()) {
+        SymbolTags tags{leafTagger_.tag(name),
+                        leafTagger_.memoryLeaf(name),
+                        leafTagger_.kernelLeaf(name),
+                        leafTagger_.syncLeaf(name),
+                        leafTagger_.clibLeaf(name),
+                        functionalityTagger_.marker(name)};
+        it = symbols_.emplace(name, tags).first;
+    }
+    return it->second;
+}
+
 void
 Aggregator::add(const CallTrace &trace)
 {
-    const std::string &leaf_name = trace.leafFrame();
-    LeafCategory leaf = leafTagger_.tag(leaf_name);
-    Functionality func = functionalityTagger_.tag(trace);
+    // Same rules as FunctionalityTagger::tag: the first frame whose
+    // marker is set decides. Map references survive later inserts.
+    const SymbolTags &tags = tagsOf(trace.leafFrame());
+    LeafCategory leaf = tags.leaf;
+    Functionality func = Functionality::Miscellaneous;
+    for (const std::string &frame : trace.frames) {
+        if (auto m = tagsOf(frame).marker) {
+            func = *m;
+            break;
+        }
+    }
 
     ++traces_;
     totalCycles_ += trace.cycles;
@@ -46,16 +70,16 @@ Aggregator::add(const CallTrace &trace)
     functionality_[func].cycles += trace.cycles;
     functionality_[func].instructions += trace.instructions;
 
-    if (auto m = leafTagger_.memoryLeaf(leaf_name)) {
+    if (auto m = tags.memory) {
         memory_[*m] += trace.cycles;
         if (*m == MemoryLeaf::Copy)
             copyOrigin_[originOf(func)] += trace.cycles;
     }
-    if (auto k = leafTagger_.kernelLeaf(leaf_name))
+    if (auto k = tags.kernel)
         kernel_[*k] += trace.cycles;
-    if (auto s = leafTagger_.syncLeaf(leaf_name))
+    if (auto s = tags.sync)
         sync_[*s] += trace.cycles;
-    if (auto c = leafTagger_.clibLeaf(leaf_name))
+    if (auto c = tags.clib)
         clib_[*c] += trace.cycles;
 }
 

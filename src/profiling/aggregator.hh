@@ -10,6 +10,9 @@
 #pragma once
 
 #include <map>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "profiling/call_trace.hh"
@@ -83,8 +86,28 @@ class Aggregator
     }
 
   private:
+    /** Every tag of one symbol name, computed on its first sighting. */
+    struct SymbolTags
+    {
+        workload::LeafCategory leaf =
+            workload::LeafCategory::Miscellaneous;
+        std::optional<workload::MemoryLeaf> memory;
+        std::optional<workload::KernelLeaf> kernel;
+        std::optional<workload::SyncLeaf> sync;
+        std::optional<workload::ClibLeaf> clib;
+        std::optional<workload::Functionality> marker;
+    };
+
+    /** The memoized tags of @p name, tagging it on a miss. */
+    const SymbolTags &tagsOf(const std::string &name);
+
     LeafTagger leafTagger_;
     FunctionalityTagger functionalityTagger_;
+    /**
+     * Tags per distinct name: the taggers are pure functions of the
+     * name, and a trace stream repeats a few dozen names.
+     */
+    std::unordered_map<std::string, SymbolTags> symbols_;
 
     double totalCycles_ = 0.0;
     std::uint64_t traces_ = 0;

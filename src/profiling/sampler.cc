@@ -240,7 +240,7 @@ drawShare(const workload::ShareMap<Category> &shares, Rng &rng)
     return last;
 }
 
-std::string
+const char *
 memoryLeafName(MemoryLeaf m)
 {
     switch (m) {
@@ -260,7 +260,7 @@ memoryLeafName(MemoryLeaf m)
     return "tc_malloc";
 }
 
-std::string
+const char *
 kernelLeafName(KernelLeaf k)
 {
     switch (k) {
@@ -280,7 +280,7 @@ kernelLeafName(KernelLeaf k)
     return "do_syscall_64";
 }
 
-std::string
+const char *
 syncLeafName(SyncLeaf s)
 {
     switch (s) {
@@ -296,7 +296,7 @@ syncLeafName(SyncLeaf s)
     return "pthread_mutex_lock";
 }
 
-std::string
+const char *
 clibLeafName(ClibLeaf c)
 {
     switch (c) {
@@ -320,7 +320,7 @@ clibLeafName(ClibLeaf c)
     return "std::accumulate";
 }
 
-std::string
+const char *
 functionalityFrame(Functionality f)
 {
     switch (f) {
@@ -350,7 +350,7 @@ functionalityFrame(Functionality f)
 
 } // namespace
 
-std::string
+const char *
 TraceSampler::sampleLeafName(LeafCategory category)
 {
     switch (category) {
@@ -379,19 +379,18 @@ TraceSampler::sampleLeafName(LeafCategory category)
     return "svc_opaque_leaf";
 }
 
-std::vector<std::string>
-TraceSampler::buildFrames(Functionality f, const std::string &leafName)
-{
-    return {"start_thread", "svc::server::serve", functionalityFrame(f),
-            leafName};
-}
-
 CallTrace
 TraceSampler::sample()
 {
+    // RNG draw order: the cell, the leaf name, then the cycles.
     auto [f, l] = joint_.sample(rng_);
+    const char *leafName = sampleLeafName(l);
     CallTrace trace;
-    trace.frames = buildFrames(f, sampleLeafName(l));
+    trace.frames.reserve(4);
+    trace.frames.emplace_back("start_thread");
+    trace.frames.emplace_back("svc::server::serve");
+    trace.frames.emplace_back(functionalityFrame(f));
+    trace.frames.emplace_back(leafName);
     trace.cycles = rng_.exponential(2000.0);
     trace.instructions = trace.cycles * workload::leafIpc(gen_, l);
     return trace;

@@ -88,9 +88,7 @@ class TraceSampler
     JointDistribution joint_;
     Rng rng_;
 
-    std::string sampleLeafName(workload::LeafCategory category);
-    std::vector<std::string>
-    buildFrames(workload::Functionality f, const std::string &leafName);
+    const char *sampleLeafName(workload::LeafCategory category);
 };
 
 } // namespace accel::profiling

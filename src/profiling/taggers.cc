@@ -13,11 +13,11 @@ using workload::SyncLeaf;
 
 namespace {
 
-/** Case-insensitive substring test. */
+/** Substring test on a name lower-cased once by the caller. */
 bool
-contains(const std::string &haystack, const char *needle)
+contains(const std::string &lower, const char *needle)
 {
-    return toLower(haystack).find(needle) != std::string::npos;
+    return lower.find(needle) != std::string::npos;
 }
 
 } // namespace
@@ -25,42 +25,43 @@ contains(const std::string &haystack, const char *needle)
 LeafCategory
 LeafTagger::tag(const std::string &leaf) const
 {
+    const std::string lower = toLower(leaf);
     // Order matters: kernel symbols first (futex_wait must not match the
     // mutex rule), then domain-specific libraries, then generic C++.
-    if (contains(leaf, "finish_task_switch") || contains(leaf, "ep_poll") ||
-        contains(leaf, "tcp_") || contains(leaf, "futex") ||
-        contains(leaf, "clear_page") || contains(leaf, "do_syscall") ||
-        contains(leaf, "__schedule") || contains(leaf, "net_rx")) {
+    if (contains(lower, "finish_task_switch") || contains(lower, "ep_poll") ||
+        contains(lower, "tcp_") || contains(lower, "futex") ||
+        contains(lower, "clear_page") || contains(lower, "do_syscall") ||
+        contains(lower, "__schedule") || contains(lower, "net_rx")) {
         return LeafCategory::Kernel;
     }
-    if (contains(leaf, "zstd"))
+    if (contains(lower, "zstd"))
         return LeafCategory::Zstd;
-    if (contains(leaf, "aes") || contains(leaf, "evp_") ||
-        contains(leaf, "ssl_") || contains(leaf, "chacha")) {
+    if (contains(lower, "aes") || contains(lower, "evp_") ||
+        contains(lower, "ssl_") || contains(lower, "chacha")) {
         return LeafCategory::Ssl;
     }
-    if (contains(leaf, "sha") || contains(leaf, "fnv") ||
-        contains(leaf, "siphash") || contains(leaf, "crc32")) {
+    if (contains(lower, "sha") || contains(lower, "fnv") ||
+        contains(lower, "siphash") || contains(lower, "crc32")) {
         return LeafCategory::Hashing;
     }
-    if (contains(leaf, "mkl") || contains(leaf, "_mm") ||
-        contains(leaf, "blas") || contains(leaf, "fmadd")) {
+    if (contains(lower, "mkl") || contains(lower, "_mm") ||
+        contains(lower, "blas") || contains(lower, "fmadd")) {
         return LeafCategory::Math;
     }
-    if (contains(leaf, "memcpy") || contains(leaf, "memmove") ||
-        contains(leaf, "memset") || contains(leaf, "memcmp") ||
-        contains(leaf, "malloc") || contains(leaf, "calloc") ||
-        contains(leaf, "tc_free") || contains(leaf, "cfree") ||
-        contains(leaf, "operator new") ||
-        contains(leaf, "operator delete") || leaf == "free") {
+    if (contains(lower, "memcpy") || contains(lower, "memmove") ||
+        contains(lower, "memset") || contains(lower, "memcmp") ||
+        contains(lower, "malloc") || contains(lower, "calloc") ||
+        contains(lower, "tc_free") || contains(lower, "cfree") ||
+        contains(lower, "operator new") ||
+        contains(lower, "operator delete") || leaf == "free") {
         return LeafCategory::Memory;
     }
-    if (contains(leaf, "atomic") || contains(leaf, "mutex") ||
-        contains(leaf, "spin") || contains(leaf, "compare_exchange")) {
+    if (contains(lower, "atomic") || contains(lower, "mutex") ||
+        contains(lower, "spin") || contains(lower, "compare_exchange")) {
         return LeafCategory::Synchronization;
     }
-    if (contains(leaf, "std::") || contains(leaf, "operator") ||
-        contains(leaf, "__gnu_cxx")) {
+    if (contains(lower, "std::") || contains(lower, "operator") ||
+        contains(lower, "__gnu_cxx")) {
         return LeafCategory::CLibraries;
     }
     return LeafCategory::Miscellaneous;
@@ -69,20 +70,21 @@ LeafTagger::tag(const std::string &leaf) const
 std::optional<MemoryLeaf>
 LeafTagger::memoryLeaf(const std::string &leaf) const
 {
-    if (contains(leaf, "memcpy"))
+    const std::string lower = toLower(leaf);
+    if (contains(lower, "memcpy"))
         return MemoryLeaf::Copy;
-    if (contains(leaf, "memmove"))
+    if (contains(lower, "memmove"))
         return MemoryLeaf::Move;
-    if (contains(leaf, "memset"))
+    if (contains(lower, "memset"))
         return MemoryLeaf::Set;
-    if (contains(leaf, "memcmp"))
+    if (contains(lower, "memcmp"))
         return MemoryLeaf::Compare;
-    if (contains(leaf, "tc_free") || contains(leaf, "cfree") ||
-        contains(leaf, "operator delete") || leaf == "free") {
+    if (contains(lower, "tc_free") || contains(lower, "cfree") ||
+        contains(lower, "operator delete") || leaf == "free") {
         return MemoryLeaf::Free;
     }
-    if (contains(leaf, "malloc") || contains(leaf, "calloc") ||
-        contains(leaf, "operator new")) {
+    if (contains(lower, "malloc") || contains(lower, "calloc") ||
+        contains(lower, "operator new")) {
         return MemoryLeaf::Allocation;
     }
     return std::nullopt;
@@ -91,19 +93,20 @@ LeafTagger::memoryLeaf(const std::string &leaf) const
 std::optional<KernelLeaf>
 LeafTagger::kernelLeaf(const std::string &leaf) const
 {
-    if (contains(leaf, "finish_task_switch") ||
-        contains(leaf, "__schedule")) {
+    const std::string lower = toLower(leaf);
+    if (contains(lower, "finish_task_switch") ||
+        contains(lower, "__schedule")) {
         return KernelLeaf::Scheduler;
     }
-    if (contains(leaf, "ep_poll"))
+    if (contains(lower, "ep_poll"))
         return KernelLeaf::EventHandling;
-    if (contains(leaf, "tcp_") || contains(leaf, "net_rx"))
+    if (contains(lower, "tcp_") || contains(lower, "net_rx"))
         return KernelLeaf::Network;
-    if (contains(leaf, "futex"))
+    if (contains(lower, "futex"))
         return KernelLeaf::Synchronization;
-    if (contains(leaf, "clear_page"))
+    if (contains(lower, "clear_page"))
         return KernelLeaf::MemoryManagement;
-    if (contains(leaf, "do_syscall"))
+    if (contains(lower, "do_syscall"))
         return KernelLeaf::Miscellaneous;
     return std::nullopt;
 }
@@ -111,13 +114,14 @@ LeafTagger::kernelLeaf(const std::string &leaf) const
 std::optional<SyncLeaf>
 LeafTagger::syncLeaf(const std::string &leaf) const
 {
-    if (contains(leaf, "compare_exchange"))
+    const std::string lower = toLower(leaf);
+    if (contains(lower, "compare_exchange"))
         return SyncLeaf::CompareExchangeSwap;
-    if (contains(leaf, "atomic"))
+    if (contains(lower, "atomic"))
         return SyncLeaf::CppAtomics;
-    if (contains(leaf, "mutex"))
+    if (contains(lower, "mutex"))
         return SyncLeaf::Mutex;
-    if (contains(leaf, "spin"))
+    if (contains(lower, "spin"))
         return SyncLeaf::SpinLock;
     return std::nullopt;
 }
@@ -125,26 +129,65 @@ LeafTagger::syncLeaf(const std::string &leaf) const
 std::optional<ClibLeaf>
 LeafTagger::clibLeaf(const std::string &leaf) const
 {
-    if (contains(leaf, "std::sort") || contains(leaf, "std::find") ||
-        contains(leaf, "std::accumulate")) {
+    const std::string lower = toLower(leaf);
+    if (contains(lower, "std::sort") || contains(lower, "std::find") ||
+        contains(lower, "std::accumulate")) {
         return ClibLeaf::StdAlgorithms;
     }
-    if (contains(leaf, "::~") || contains(leaf, "construct"))
+    if (contains(lower, "::~") || contains(lower, "construct"))
         return ClibLeaf::ConstructorsDestructors;
-    if (contains(leaf, "std::string") || contains(leaf, "basic_string"))
+    if (contains(lower, "std::string") || contains(lower, "basic_string"))
         return ClibLeaf::Strings;
-    if (contains(leaf, "unordered_map") || contains(leaf, "hashtable"))
+    if (contains(lower, "unordered_map") || contains(lower, "hashtable"))
         return ClibLeaf::HashTables;
-    if (contains(leaf, "std::vector"))
+    if (contains(lower, "std::vector"))
         return ClibLeaf::Vectors;
-    if (contains(leaf, "std::map") || contains(leaf, "_rb_tree"))
+    if (contains(lower, "std::map") || contains(lower, "_rb_tree"))
         return ClibLeaf::Trees;
-    if (contains(leaf, "operator=") || contains(leaf, "operator<") ||
-        contains(leaf, "operator==")) {
+    if (contains(lower, "operator=") || contains(lower, "operator<") ||
+        contains(lower, "operator==")) {
         return ClibLeaf::OperatorOverride;
     }
-    if (contains(leaf, "std::") || contains(leaf, "__gnu_cxx"))
+    if (contains(lower, "std::") || contains(lower, "__gnu_cxx"))
         return ClibLeaf::Miscellaneous;
+    return std::nullopt;
+}
+
+std::optional<Functionality>
+FunctionalityTagger::marker(const std::string &frame) const
+{
+    const std::string lower = toLower(frame);
+    if (contains(lower, "threadpoolexecutor") ||
+        contains(lower, "thread_pool")) {
+        return Functionality::ThreadPoolManagement;
+    }
+    if (contains(lower, "sslsocket") ||
+        contains(lower, "asyncsocket")) {
+        return Functionality::SecureInsecureIO;
+    }
+    if (contains(lower, "io::prepare") ||
+        contains(lower, "io::postprocess")) {
+        return Functionality::IOPrePostProcessing;
+    }
+    if (contains(lower, "thrift::"))
+        return Functionality::Serialization;
+    if (contains(lower, "features::extract"))
+        return Functionality::FeatureExtraction;
+    if (contains(lower, "inference::") ||
+        contains(lower, "ranking::")) {
+        return Functionality::PredictionRanking;
+    }
+    if (contains(lower, "log::append") ||
+        contains(lower, "log::read") ||
+        contains(lower, "log::update")) {
+        return Functionality::Logging;
+    }
+    if (contains(lower, "compress::"))
+        return Functionality::Compression;
+    if (contains(lower, "app::"))
+        return Functionality::ApplicationLogic;
+    if (contains(lower, "misc::"))
+        return Functionality::Miscellaneous;
     return std::nullopt;
 }
 
@@ -152,37 +195,8 @@ Functionality
 FunctionalityTagger::tag(const CallTrace &trace) const
 {
     for (const std::string &frame : trace.frames) {
-        if (contains(frame, "threadpoolexecutor") ||
-            contains(frame, "thread_pool")) {
-            return Functionality::ThreadPoolManagement;
-        }
-        if (contains(frame, "sslsocket") ||
-            contains(frame, "asyncsocket")) {
-            return Functionality::SecureInsecureIO;
-        }
-        if (contains(frame, "io::prepare") ||
-            contains(frame, "io::postprocess")) {
-            return Functionality::IOPrePostProcessing;
-        }
-        if (contains(frame, "thrift::"))
-            return Functionality::Serialization;
-        if (contains(frame, "features::extract"))
-            return Functionality::FeatureExtraction;
-        if (contains(frame, "inference::") ||
-            contains(frame, "ranking::")) {
-            return Functionality::PredictionRanking;
-        }
-        if (contains(frame, "log::append") ||
-            contains(frame, "log::read") ||
-            contains(frame, "log::update")) {
-            return Functionality::Logging;
-        }
-        if (contains(frame, "compress::"))
-            return Functionality::Compression;
-        if (contains(frame, "app::"))
-            return Functionality::ApplicationLogic;
-        if (contains(frame, "misc::"))
-            return Functionality::Miscellaneous;
+        if (auto m = marker(frame))
+            return *m;
     }
     return Functionality::Miscellaneous;
 }

@@ -49,10 +49,17 @@ class FunctionalityTagger
   public:
     /**
      * Functionality of a trace: frames are scanned from the thread
-     * entry inward; the first frame carrying a functionality marker
-     * decides. Miscellaneous when no frame matches.
+     * entry inward; the first frame whose marker() is set decides.
+     * Miscellaneous when no frame matches.
      */
     workload::Functionality tag(const CallTrace &trace) const;
+
+    /**
+     * The functionality marker one frame name carries, if any. A
+     * function of the name alone, so callers may memoize it.
+     */
+    std::optional<workload::Functionality>
+    marker(const std::string &frame) const;
 };
 
 } // namespace accel::profiling

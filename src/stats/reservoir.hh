@@ -23,12 +23,14 @@ namespace accel {
 class ReservoirSample
 {
   public:
+    /** A 4096-slot reservoir; implicit so stats structs can be `{}`. */
+    ReservoirSample() : ReservoirSample(4096) {}
+
     /**
      * @param capacity reservoir size (quantile resolution ~1/capacity)
      * @param seed     RNG seed for replacement decisions
      */
-    explicit ReservoirSample(size_t capacity = 4096,
-                             std::uint64_t seed = 0x5eed);
+    explicit ReservoirSample(size_t capacity, std::uint64_t seed = 0x5eed);
 
     /** Observe one value. */
     void add(double value);

@@ -316,6 +316,14 @@ TEST(ServiceSpec, FromConfigRejectsMisreadValuesNamingKeyAndSection)
         {"scale_up_pressure = 0.7", "scale_up_pressure"},
         // A per-replica plan for a replica the tier does not have.
         {"tier_replicas = 2\nfault_r5_drop_p = 0.5", "fault_r5_drop_p"},
+        // Arrival keys that need an arrival_trace, or a non-periodic one.
+        {"arrival_period = 2", "arrival_period"},
+        {"arrival_shape = linear", "arrival_shape"},
+        {"arrival_flash_at = 0.5\narrival_flash_extra = 10",
+         "arrival_flash_at"},
+        {"arrival_trace = 0:100\narrival_period = 1\n"
+         "arrival_flash_at = 0.5\narrival_flash_extra = 10",
+         "arrival_flash_at"},
     };
     for (const auto &[lines, key] : serviceRows) {
         expectRejectedNaming(

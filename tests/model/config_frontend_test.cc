@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -184,18 +185,28 @@ TEST(ConfigFrontend, FaultPlanSingleKeyActivates)
     EXPECT_TRUE(plan->stallWindows.empty());
 }
 
-/** Section [x] holding @p line must fail, naming config key @p key. */
 void
-expectRejectedNaming(const std::string &line, const std::string &key)
+parseFaultPlan(const Config &cfg)
+{
+    faultPlanFromConfig(cfg, "x");
+}
+
+/**
+ * Section [x] holding @p line must fail in @p parse, naming config key
+ * @p key and the section.
+ */
+void
+expectRejectedNaming(const std::string &line, const std::string &key,
+                     void (*parse)(const Config &) = parseFaultPlan)
 {
     Config cfg = Config::fromString("[x]\n" + line + "\n");
     try {
-        faultPlanFromConfig(cfg, "x");
+        parse(cfg);
         ADD_FAILURE() << "accepted '" << line << "'";
     } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("'" + key + "'"),
-                  std::string::npos)
-            << err.what();
+        std::string msg = err.what();
+        EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("[x]"), std::string::npos) << msg;
     }
 }
 
@@ -253,6 +264,20 @@ TEST(ConfigFrontend, PlannerModeRejectsAmbiguity)
         "[x]\nC=1e9\nalpha=0.1\ncb=2\nn_total=10\n"
         "weighting = sideways\ngranularity_cdf = 0:64:1\n");
     EXPECT_THROW(paramsFromConfig(bad, "x"), FatalError);
+
+    auto params = [](const Config &cfg) { paramsFromConfig(cfg, "x"); };
+    const std::string planner = "C=1e9\nalpha=0.1\ncb=2\nn_total=10\n";
+    const std::pair<std::string, const char *> rows[] = {
+        {planner + "n=5\ngranularity_cdf = 0:64:1", "n"},
+        {planner + "weighting = sideways\ngranularity_cdf = 0:64:1",
+         "weighting"},
+        {planner + "granularity_cdf = 1:2", "granularity_cdf"},
+        {planner + "granularity_cdf = ,", "granularity_cdf"},
+        // BucketDist's own domain check: descending bounds.
+        {planner + "granularity_cdf = 8:4:1", "granularity_cdf"},
+    };
+    for (const auto &[lines, key] : rows)
+        expectRejectedNaming(lines, key, params);
 }
 
 } // namespace
